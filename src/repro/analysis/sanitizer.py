@@ -14,7 +14,9 @@ explicit ``verify=True`` on the parallel scheduler), the colony:
   which audits the available-list bound of Section V-A, the ``-1`` poison
   discipline on uninitialized slots, per-ant consistency between the
   available list and the issued prefix (a cross-ant write would break
-  these with overwhelming probability), and non-negative counters;
+  these with overwhelming probability), non-negative counters, and the
+  incrementally maintained closing-use counts against a from-scratch
+  recount;
 * asserts wavefront-uniform explore/exploit draws whenever the
   wavefront-level-choice divergence optimization claims uniformity.
 
@@ -219,6 +221,45 @@ class ColonySanitizer:
             raise SanitizerError("negative unscheduled-predecessor counter")
         if np.asarray(colony.current).min() < 0:
             raise SanitizerError("negative register-pressure counter")
+        closing = getattr(colony, "closing", None)
+        if closing is not None:
+            issued = np.zeros((colony.num_ants, n), dtype=bool)
+            issued[ants, order_buf[issued_valid]] = True
+            self._check_closing(colony, np.asarray(closing), issued)
+
+    def _check_closing(self, colony, closing: np.ndarray, issued: np.ndarray) -> None:
+        """Recount every unscheduled instruction's closing uses from the
+        liveness state, per operand slot as the loop engine does, and
+        compare with the counts the engine keeps up to date."""
+        d = colony.data
+        last_use = (
+            (np.asarray(colony.remaining_uses) == 1)
+            & np.asarray(colony.live)
+            & ~d.live_out_mask[None, :]
+        )
+        expected = np.zeros_like(closing)
+        for slot in range(d.uses.shape[1]):
+            regs = d.uses[:, slot]
+            counted = (regs >= 0) & ~d.uses_redefined[:, slot]
+            safe = np.where(counted, regs, 0)
+            closes = last_use[:, safe] & counted
+            expected[-1] += closes
+            for ci in range(d.num_classes):
+                expected[ci] += closes & (d.reg_class[safe] == ci)
+        wrong = (expected != closing).any(axis=0) & ~issued
+        if wrong.any():
+            ant, inst = np.argwhere(wrong)[0]
+            raise SanitizerError(
+                "ant %d's closing-use counts for instruction %d are %s; a "
+                "recount from the liveness state gives %s (missed or "
+                "double-applied last-use flip)"
+                % (
+                    int(ant),
+                    int(inst),
+                    closing[:, ant, inst].tolist(),
+                    expected[:, ant, inst].tolist(),
+                )
+            )
 
     # -- end of iteration ----------------------------------------------------
 

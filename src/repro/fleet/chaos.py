@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..config import ACOParams, FleetParams, GPUParams
+from ..errors import ScheduleError
 from ..gpusim.faults import DEFAULT_WORKER_CHAOS_RATES, WORKER_FAULT_CLASSES, FaultPlan
 from ..machine.model import MachineModel
 from ..machine.targets import amd_vega20
@@ -227,7 +228,7 @@ def _run_trial(
             continue
         try:
             validate_schedule(result.schedule, item.ddg, machine)
-        except Exception:
+        except ScheduleError:
             valid = False
     return FleetTrial(
         chaos_seed=chaos_seed,

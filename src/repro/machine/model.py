@@ -7,8 +7,11 @@ without a table (none on the built-in targets) do not constrain occupancy.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Mapping, Tuple
+
+import numpy as np
 
 from ..errors import MachineModelError
 from ..ir.registers import RegisterClass
@@ -66,3 +69,24 @@ class MachineModel:
 
     def classes(self) -> Tuple[RegisterClass, ...]:
         return tuple(self.occupancy_tables)
+
+    @functools.cached_property
+    def pressure_luts(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Occupancy and APRP of every pressure, as read-only lookup tables.
+
+        One row per class in :meth:`classes` order; column ``p`` holds the
+        value at pressure ``p``, for ``p`` up to one past the largest
+        pressure any class fits. Built once per machine.
+        """
+        classes = self.classes()
+        width = max(self.table_for(cls).max_pressure for cls in classes) + 2
+        occ = np.zeros((len(classes), width), dtype=np.int32)
+        aprp = np.zeros_like(occ)
+        for ci, cls in enumerate(classes):
+            table = self.table_for(cls)
+            for p in range(width):
+                occ[ci, p] = table.occupancy(p)
+                aprp[ci, p] = table.aprp(p)
+        occ.flags.writeable = False
+        aprp.flags.writeable = False
+        return occ, aprp

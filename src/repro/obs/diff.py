@@ -293,7 +293,18 @@ def _bytes_identical(a: RunBundle, b: RunBundle) -> bool:
 
 
 def diff_loaded(a: RunBundle, b: RunBundle) -> Dict:
-    """Diff two loaded bundles; returns the report payload."""
+    """Diff two loaded bundles; returns the report payload.
+
+    Bundles of two different declared schemas are not comparable (their
+    lane digests are defined differently) and raise ``TelemetryError``.
+    """
+    schema_a = a.manifest.get("bundle_schema")
+    schema_b = b.manifest.get("bundle_schema")
+    if schema_a is not None and schema_b is not None and schema_a != schema_b:
+        raise TelemetryError(
+            "bundles have different schemas (%r vs %r); record both with "
+            "the same version" % (schema_a, schema_b)
+        )
     rng_available = (
         a.manifest.get("draws", "digest") != "off"
         and b.manifest.get("draws", "digest") != "off"

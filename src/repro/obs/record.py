@@ -22,8 +22,10 @@ Bundle layout (all JSON sorted-keys, trailing newline, no timestamps)::
 Draw capture levels:
 
 ``digest``
-    per iteration and ant: draw count plus a chained sha256 digest of the
-    IEEE-754 bytes — enough to localize a fork to (iteration, ant).
+    per iteration and ant: draw count plus the sha256 digest of the ant's
+    draws as little-endian IEEE-754 doubles, concatenated in draw order
+    (truncated to :data:`DRAW_DIGEST_LEN` hex chars) — enough to localize a
+    fork to (iteration, ant).
 ``full``
     additionally stores the raw draw values, localizing to the exact draw
     index with both values in the report. Used by the test fixtures and
@@ -35,7 +37,8 @@ Recording rides one ambient hook: the recorder's sink joins the telemetry
 fan-out, while the RNG draw primitives, the scheduler iteration loops and
 the pipeline all consult :func:`get_recorder`. With no recorder installed
 every hook is a single ``None`` check, so recording off keeps runs
-bit-identical.
+bit-identical. Draws are kept as the batches they were observed in until
+the iteration ends; each ant's lane is then gathered and hashed once.
 """
 
 from __future__ import annotations
@@ -43,17 +46,19 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import struct
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from ..errors import TelemetryError
 from ..telemetry.schema import read_trace_lenient
 from ..telemetry.sinks import Sink, _json_safe
 from .context import current_trace
 
-#: Version stamp of the bundle directory layout.
-BUNDLE_SCHEMA = 1
+#: Version stamp of the bundle directory layout. Schema 2: a lane digest
+#: hashes the lane's draw bytes at once (schema 1 chained one draw at a time).
+BUNDLE_SCHEMA = 2
 
 #: Parts a complete bundle may carry, in canonical order.
 BUNDLE_PARTS = (
@@ -66,39 +71,42 @@ BUNDLE_PARTS = (
 
 _DRAW_LEVELS = ("off", "digest", "full")
 
-#: Length of the truncated chained draw digest (hex chars).
+#: Length of the truncated lane draw digest (hex chars).
 DRAW_DIGEST_LEN = 16
 
-
-def _chain_digest(digest_hex: str, value: float) -> str:
-    """Advance a chained draw digest by one IEEE-754 double."""
-    h = hashlib.sha256()
-    h.update(digest_hex.encode("ascii"))
-    h.update(struct.pack("<d", value))
-    return h.hexdigest()[:DRAW_DIGEST_LEN]
+#: Draws observed together: ``(ants, values)``, ``ants=None`` meaning lanes
+#: ``0..len(values)-1``.
+_Batch = Tuple[Optional[np.ndarray], np.ndarray]
 
 
-class _DrawLane:
-    """One ant's draw accumulator within one iteration."""
+def lane_digest(values: np.ndarray) -> str:
+    """Digest of one lane's draws: sha256 of its little-endian doubles."""
+    data = np.ascontiguousarray(values, dtype="<f8").tobytes()
+    return hashlib.sha256(data).hexdigest()[:DRAW_DIGEST_LEN]
 
-    __slots__ = ("count", "digest", "values")
 
-    def __init__(self, keep_values: bool):
-        self.count = 0
-        self.digest = ""
-        self.values: Optional[List[float]] = [] if keep_values else None
+def _lane_payloads(batches: List[_Batch], keep_values: bool) -> Dict[str, Dict[str, object]]:
+    """Per-ant ``{"n", "d"[, "v"]}`` from one iteration's draw batches.
 
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.digest = _chain_digest(self.digest, value)
-        if self.values is not None:
-            self.values.append(value)
-
-    def payload(self) -> Dict[str, object]:
-        out: Dict[str, object] = {"n": self.count, "d": self.digest}
-        if self.values is not None:
-            out["v"] = list(self.values)
-        return out
+    A stable sort by ant keeps each lane's draws in observation order.
+    """
+    if not batches:
+        return {}
+    ants = np.concatenate(
+        [np.arange(len(v)) if a is None else a for a, v in batches]
+    )
+    values = np.concatenate([v for _a, v in batches])
+    order = np.argsort(ants, kind="stable")
+    ants, values = ants[order], values[order]
+    lanes, starts, counts = np.unique(ants, return_index=True, return_counts=True)
+    out: Dict[str, Dict[str, object]] = {}
+    for ant, start, count in zip(lanes.tolist(), starts.tolist(), counts.tolist()):
+        lane = values[start : start + count]
+        payload: Dict[str, object] = {"n": count, "d": lane_digest(lane)}
+        if keep_values:
+            payload["v"] = lane.tolist()
+        out[str(ant)] = payload
+    return out
 
 
 class RecordingSink(Sink):
@@ -132,9 +140,12 @@ class RunRecorder:
         self.spans: Optional[Dict] = None
         self.sink = RecordingSink(self)
         #: rng.jsonl entries in begin order; each is the serializable dict
-        #: minus the per-ant lanes, which live in ``_lanes`` until flushed.
+        #: minus the per-ant lanes, whose draws live in ``_batches`` (and
+        #: scalar draws in ``_scalar_ants``/``_scalar_values``) until flushed.
         self._rng_entries: List[Dict] = []
-        self._lanes: Optional[Dict[int, _DrawLane]] = None
+        self._batches: Optional[List[_Batch]] = None
+        self._scalar_ants: List[int] = []
+        self._scalar_values: List[float] = []
 
     # -- iteration / draw hooks (called via the ambient recorder) -----------
 
@@ -150,31 +161,54 @@ class RunRecorder:
                 "trace_id": trace.trace_id if trace is not None else None,
             }
         )
-        self._lanes = {}
+        self._batches = []
 
-    def observe_draw(self, ant: int, value: float) -> None:
-        """RNG draw callback (the stream primitives call the ambient recorder)."""
-        if self.draws == "off":
-            return
-        if self._lanes is None:
+    def _open_batches(self) -> List[_Batch]:
+        if self._batches is None:
             # Draws outside any marked iteration (e.g. a future warm-up
             # phase) still land in a keyed entry rather than vanishing.
             self.begin_iteration("", -1, -1)
-        lanes = self._lanes
-        assert lanes is not None
-        lane = lanes.get(ant)
-        if lane is None:
-            lane = lanes[ant] = _DrawLane(self.draws == "full")
-        lane.observe(value)
+        assert self._batches is not None
+        return self._batches
+
+    def observe_draw(self, ant: int, value: float) -> None:
+        """One scalar RNG draw of ``ant`` (the scalar stream primitive)."""
+        if self.draws == "off":
+            return
+        self._open_batches()
+        self._scalar_ants.append(ant)
+        self._scalar_values.append(value)
+
+    def observe_draws(self, ants: Optional[np.ndarray], values: np.ndarray) -> None:
+        """One draw per lane in ``ants`` (``None``: every lane, in slot
+        order). ``values`` is kept, not copied: the streams hand out fresh
+        arrays."""
+        if self.draws == "off":
+            return
+        batches = self._open_batches()
+        self._close_scalars()
+        batches.append((ants, values))
+
+    def _close_scalars(self) -> None:
+        """Move pending scalar draws into the batch list, in order."""
+        if self._scalar_ants:
+            assert self._batches is not None
+            self._batches.append(
+                (
+                    np.array(self._scalar_ants, dtype=np.intp),
+                    np.array(self._scalar_values, dtype=np.float64),
+                )
+            )
+            self._scalar_ants = []
+            self._scalar_values = []
 
     def _flush_lanes(self) -> None:
-        if self._lanes is None:
+        if self._batches is None:
             return
+        self._close_scalars()
         entry = self._rng_entries[-1]
-        entry["ants"] = {
-            str(ant): lane.payload() for ant, lane in sorted(self._lanes.items())
-        }
-        self._lanes = None
+        entry["ants"] = _lane_payloads(self._batches, self.draws == "full")
+        self._batches = None
 
     # -- schedule / span capture --------------------------------------------
 

@@ -116,16 +116,49 @@ class RegionDeviceData:
 
         # Occupancy / APRP lookup tables, one row per class; index = pressure
         # clamped to the table width (beyond-table pressure -> occupancy 0).
-        max_p = max(machine.table_for(cls).max_pressure for cls in classes)
-        self.lut_width = max_p + 2
-        self.occ_lut = np.zeros((self.num_classes, self.lut_width), dtype=np.int32)
-        self.aprp_lut = np.zeros((self.num_classes, self.lut_width), dtype=np.int32)
-        for ci, cls in enumerate(classes):
-            table = machine.table_for(cls)
-            for p in range(self.lut_width):
-                self.occ_lut[ci, p] = table.occupancy(p)
-                self.aprp_lut[ci, p] = table.aprp(p)
+        # They depend on the machine only, so regions share its read-only copy.
+        self.occ_lut, self.aprp_lut = machine.pressure_luts
+        self.lut_width = self.occ_lut.shape[1]
         self.max_occupancy = machine.max_occupancy
+
+        # Closing-use bookkeeping of the vectorized engine. A register is in
+        # its *last-use* state while it is live, not live-out and has exactly
+        # one unscheduled use; an instruction's closing count is the number
+        # of such registers it reads without redefining (what the LUC
+        # heuristic and the pass-2 pressure preview need). These tables let
+        # the engine keep the counts up to date instead of recomputing them.
+        # user_ptr/user_ids: CSR of the distinct non-redefining readers of
+        # each register.
+        readers = [[] for _ in range(self.num_registers)]
+        for inst in region:
+            def_ids = {self.reg_index[r] for r in inst.defs}
+            for reg in dict.fromkeys(self.reg_index[r] for r in inst.uses):
+                if reg not in def_ids:
+                    readers[reg].append(inst.index)
+        self.user_ptr = np.zeros(self.num_registers + 1, dtype=np.int64)
+        self.user_ptr[1:] = np.cumsum([len(r) for r in readers])
+        self.user_ids = np.array(
+            [i for users in readers for i in users], dtype=np.int32
+        )
+        # touched[i]: the distinct registers instruction i reads or writes
+        # (the only ones whose last-use state it can flip).
+        self.touched = _pad_lists(
+            [
+                list(dict.fromkeys(self.reg_index[r] for r in inst.uses + inst.defs))
+                for inst in region
+            ]
+        )
+        # Counts at the start of construction (live-ins are the live set):
+        # one plane per class, then a plane over all registers.
+        live_in = np.zeros(self.num_registers, dtype=bool)
+        live_in[self.live_in_ids] = True
+        last_use = (self.total_use_counts == 1) & live_in & ~self.live_out_mask
+        self.initial_closing = np.zeros((self.num_classes + 1, n), dtype=np.int32)
+        for reg in np.flatnonzero(last_use):
+            users = self.user_ids[self.user_ptr[reg] : self.user_ptr[reg + 1]]
+            if self.reg_class[reg] >= 0:
+                self.initial_closing[self.reg_class[reg], users] += 1
+            self.initial_closing[-1, users] += 1
 
         # The available-list bound of Section V-A. Available = ready and
         # semi-ready instructions, which are pairwise independent, so the

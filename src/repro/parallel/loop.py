@@ -47,6 +47,7 @@ class LoopColony(VectorizedColony):
     """Scalar per-ant construction with serialized-lane cost accounting."""
 
     backend_name = "loop"
+    maintains_closing = False
 
     # -- score computation (one ant row at a time) ---------------------------
 
@@ -73,8 +74,17 @@ class LoopColony(VectorizedColony):
         luc_score = (net + d.num_uses[safe] + 1.0) * d.score_scale + d.heights[safe] / d.score_scale
         return np.maximum(1e-6, 1.0 + luc_score)
 
+    def _closing_counts(self, valid: np.ndarray) -> None:
+        """No shared counts: every row recomputes its closing uses."""
+        return None
+
     def _scores(
-        self, tau: np.ndarray, cand: np.ndarray, valid: np.ndarray, primary: str
+        self,
+        tau: np.ndarray,
+        cand: np.ndarray,
+        valid: np.ndarray,
+        primary: str,
+        closing: None,
     ) -> np.ndarray:
         scores = np.zeros((self.num_ants, cand.shape[1]), dtype=np.float64)
         for ant in range(self.num_ants):
@@ -210,7 +220,7 @@ class LoopColony(VectorizedColony):
     # -- pass 2 primitives ---------------------------------------------------
 
     def _candidate_excess(
-        self, any_cand: np.ndarray, target: np.ndarray
+        self, any_cand: np.ndarray, target: np.ndarray, closing: None
     ) -> np.ndarray:
         d = self.data
         excess = np.full(

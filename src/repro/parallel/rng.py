@@ -35,6 +35,14 @@ Every ant draws on every step it is charged for — including exploiting
 ants' unused roulette draws and inactive lanes' draws — exactly like the
 paper's kernel, where a masked-off lane still executes the wavefront's
 RNG instructions.
+
+Draws are served from a per-ant buffer that is refilled with
+``generator.random(size=DRAW_BUFFER)`` once it runs dry. For PCG64 (what
+spawned streams are) a block draw yields exactly the values, and leaves
+exactly the state, of that many scalar ``random()`` calls, so buffering
+changes no ant's sequence; :meth:`AntRngStreams.state` rewinds each stream
+past its unconsumed buffered draws, so a checkpoint still resumes at the
+exact draw.
 """
 
 from __future__ import annotations
@@ -47,6 +55,9 @@ from ..errors import ConfigError
 from ..obs import record as _record
 
 SeedLike = Union[int, np.random.Generator, "AntRngStreams"]
+
+#: Draws fetched per refill of an ant's buffer.
+DRAW_BUFFER = 64
 
 
 class AntRngStreams:
@@ -68,6 +79,17 @@ class AntRngStreams:
         #: Stream ``i`` belongs to ant slot ``i`` (spawn-indexed: the first
         #: ``k`` streams are identical for every population size >= k).
         self.generators = tuple(root.spawn(num_ants))
+        self._all = np.arange(num_ants)
+        # A bit generator that cannot rewind (no ``advance``) is read one
+        # draw at a time, so nothing is ever left unconsumed in its buffer.
+        self._block = (
+            DRAW_BUFFER
+            if all(hasattr(g.bit_generator, "advance") for g in self.generators)
+            else 1
+        )
+        self._buffer = np.empty((num_ants, self._block), dtype=np.float64)
+        #: Next unread buffer column per ant; ``_block`` means empty.
+        self._next = np.full(num_ants, self._block, dtype=np.intp)
 
     @classmethod
     def coerce(cls, rng: SeedLike, num_ants: int) -> "AntRngStreams":
@@ -86,12 +108,24 @@ class AntRngStreams:
     def state(self) -> list:
         """Every stream's bit-generator state, in ant-slot order.
 
-        The returned structure is JSON-serializable (PCG64 state is a dict
-        of ints), so a checkpoint can round-trip it losslessly; restoring
-        it with :meth:`restore` continues each ant's draw sequence exactly
-        where it stopped.
+        Each state is taken as of the ant's last *consumed* draw (buffered
+        draws not yet handed out are rewound), and the streams themselves
+        are left untouched. The returned structure is JSON-serializable
+        (PCG64 state is a dict of ints), so a checkpoint can round-trip it
+        losslessly; restoring it with :meth:`restore` continues each ant's
+        draw sequence exactly where it stopped.
         """
-        return [g.bit_generator.state for g in self.generators]
+        states = []
+        for generator, unread in zip(self.generators, self._block - self._next):
+            bit_generator = generator.bit_generator
+            current = bit_generator.state
+            if unread:
+                bit_generator.advance(-int(unread))
+                states.append(bit_generator.state)
+                bit_generator.state = current
+            else:
+                states.append(current)
+        return states
 
     def restore(self, states: list) -> None:
         """Restore a :meth:`state` capture into this stream set."""
@@ -102,25 +136,41 @@ class AntRngStreams:
             )
         for generator, state in zip(self.generators, states):
             generator.bit_generator.state = state
+        self._next[:] = self._block
+
+    def _take(self, ants: np.ndarray) -> np.ndarray:
+        """One buffered draw from each of ``ants`` (distinct slots)."""
+        column = self._next[ants]
+        empty = column >= self._block
+        if empty.any():
+            for ant in ants[empty].tolist():
+                self._buffer[ant] = self.generators[ant].random(size=self._block)
+            column = np.where(empty, 0, column)
+        self._next[ants] = column + 1
+        return self._buffer[ants, column]
 
     # -- draw primitives (the only ways the colonies consume randomness) ----
 
     def uniform_ants(self) -> np.ndarray:
         """One U[0,1) draw from every ant's stream, in ant-slot order."""
-        values = np.array([g.random() for g in self.generators], dtype=np.float64)
+        values = self._take(self._all)
         recorder = _record.get_recorder()
         if recorder is not None:
             # Observed *after* the streams advanced, so the recorded
             # sequence is exactly what the colony consumed; with no ambient
             # recorder the draw path is untouched (recording off stays
             # bit-identical).
-            for ant, value in enumerate(values):
-                recorder.observe_draw(ant, float(value))
+            recorder.observe_draws(None, values)
         return values
 
     def uniform_ant(self, ant: int) -> float:
         """One U[0,1) draw from a single ant's stream (scalar engines)."""
-        value = float(self.generators[ant].random())
+        column = self._next[ant]
+        if column >= self._block:
+            self._buffer[ant] = self.generators[ant].random(size=self._block)
+            column = 0
+        self._next[ant] = column + 1
+        value = float(self._buffer[ant, column])
         recorder = _record.get_recorder()
         if recorder is not None:
             recorder.observe_draw(ant, value)
@@ -135,15 +185,9 @@ class AntRngStreams:
                 "wavefront geometry %dx%d does not cover %d ant streams"
                 % (num_wavefronts, wavefront_size, self.num_ants)
             )
-        values = np.array(
-            [
-                self.generators[w * wavefront_size].random()
-                for w in range(num_wavefronts)
-            ],
-            dtype=np.float64,
-        )
+        leaders = self._all[::wavefront_size]
+        values = self._take(leaders)
         recorder = _record.get_recorder()
         if recorder is not None:
-            for w in range(num_wavefronts):
-                recorder.observe_draw(w * wavefront_size, float(values[w]))
+            recorder.observe_draws(leaders, values)
         return values

@@ -80,6 +80,9 @@ class VectorizedColony:
 
     #: Backend identifier exported through telemetry and the scheduler.
     backend_name = "vectorized"
+    #: Keep per-ant closing-use counts up to date step by step (the loop
+    #: engine recomputes them from scratch instead).
+    maintains_closing = True
 
     def __init__(
         self,
@@ -127,12 +130,29 @@ class VectorizedColony:
         self.active = np.zeros(a, dtype=bool)
         self.dead = np.zeros(a, dtype=bool)
         self.optional_stalls = np.zeros(a, dtype=np.int32)
+        #: closing[c, a, i]: registers of class ``c`` that instruction ``i``
+        #: would close if ant ``a`` issued it now; plane ``-1`` counts every
+        #: class. Exact for every instruction; only unscheduled ones are read.
+        self.closing = (
+            np.zeros((d.num_classes + 1, a, d.num_instructions), dtype=np.int32)
+            if self.maintains_closing
+            else None
+        )
+        self._row_base = (self._ants * d.num_instructions)[:, None]
 
         # Static per-launch assignments.
         self.heuristic_of_wavefront = policy.heuristic_assignment(2)
         self.heuristic_of_ant = np.repeat(self.heuristic_of_wavefront, self.wavefront_size)
         self.stall_wavefronts = policy.stall_wavefront_mask()
         self.stall_allowed_ant = np.repeat(self.stall_wavefronts, self.wavefront_size)
+
+        # Static per-instruction terms of the guiding heuristics.
+        self._diverse = bool(self.heuristic_of_ant.any())
+        self._luc_lanes = (self.heuristic_of_ant == 0)[:, None]
+        self._cp_eta = 1.0 + d.heights
+        self._luc_offset = d.num_uses - d.num_defs + 1.0
+        self._luc_tiebreak = d.heights / d.score_scale
+        self._defs_by_class = np.ascontiguousarray(d.defs_per_class.T)
 
         # Launch-lifetime observability counters, exported through the
         # telemetry layer by the scheduler (kernel_launch events and the
@@ -187,48 +207,49 @@ class VectorizedColony:
         self.active[:] = True
         self.dead[:] = False
         self.optional_stalls[:] = 0
+        if self.closing is not None:
+            self.closing[:] = d.initial_closing[:, None, :]
 
     # -- score computation -------------------------------------------------------
 
-    def _eta(self, cand: np.ndarray, valid: np.ndarray, primary: str) -> np.ndarray:
+    def _eta(self, safe: np.ndarray, primary: str, closing: np.ndarray) -> np.ndarray:
         """Per-candidate eta for each ant's assigned heuristic.
 
         ``primary`` is the pass's base heuristic (``"luc"`` for pass 1,
         ``"cp"`` for pass 2); with heuristic diversity on, wavefronts with
-        assignment 1 use the other heuristic.
+        assignment 1 use the other heuristic. ``closing`` is the step's
+        :meth:`_closing_counts`. The score is the loop engine's
+        ``(closes - defs + uses + 1) * scale + height / scale``; its first
+        factor is an integer, so folding the static terms first is exact.
         """
         d = self.data
-        safe = np.where(valid, cand, 0)
-        cp_eta = 1.0 + d.heights[safe]
-        need_luc = primary == "luc" or bool(self.heuristic_of_ant.any())
-        if not need_luc:
+        cp_eta = self._cp_eta[safe]
+        if primary != "luc" and not self._diverse:
             return cp_eta
-        closes = np.zeros(cand.shape, dtype=np.float64)
-        ants_col = self._ants[:, None]
-        for slot in range(d.uses.shape[1]):
-            u = d.uses[safe, slot]
-            m = valid & (u >= 0) & ~d.uses_redefined[safe, slot]
-            um = np.where(m, u, 0)
-            pred_kill = (
-                m
-                & (self.remaining_uses[ants_col, um] == 1)
-                & ~d.live_out_mask[um]
-                & self.live[ants_col, um]
-            )
-            closes += pred_kill
-        net = closes - d.num_defs[safe]
-        luc_score = (net + d.num_uses[safe] + 1.0) * d.score_scale + d.heights[safe] / d.score_scale
+        luc_score = (closing[-1] + self._luc_offset[safe]) * d.score_scale + self._luc_tiebreak[safe]
         luc_eta = np.maximum(1e-6, 1.0 + luc_score)
         if primary == "luc":
-            return np.where((self.heuristic_of_ant == 0)[:, None], luc_eta, cp_eta)
-        return np.where((self.heuristic_of_ant == 0)[:, None], cp_eta, luc_eta)
+            return np.where(self._luc_lanes, luc_eta, cp_eta)
+        return np.where(self._luc_lanes, cp_eta, luc_eta)
+
+    def _closing_counts(self, valid: np.ndarray) -> np.ndarray:
+        """This step's closing counts per available-list slot, ``(class
+        planes, ants, slots)``; entries of invalid slots are meaningless."""
+        safe = np.where(valid, self.avail_ids, 0)
+        planes = self.closing.reshape(self.closing.shape[0], -1)
+        return np.take(planes, self._row_base + safe, axis=1)
 
     def _scores(
-        self, tau: np.ndarray, cand: np.ndarray, valid: np.ndarray, primary: str
+        self,
+        tau: np.ndarray,
+        cand: np.ndarray,
+        valid: np.ndarray,
+        primary: str,
+        closing: np.ndarray,
     ) -> np.ndarray:
         safe = np.where(valid, cand, 0)
-        tau_vals = tau[self.prev_inst[:, None], safe]
-        eta = self._eta(cand, valid, primary)
+        tau_vals = np.take(tau, self.prev_inst[:, None] * tau.shape[1] + safe)
+        eta = self._eta(safe, primary, closing)
         scores = tau_vals * eta**self.params.heuristic_weight
         scores[~valid] = 0.0
         return scores
@@ -273,6 +294,11 @@ class VectorizedColony:
         self.cycles_buf[ants, picks] = cycle
         self.scheduled[ants] += 1
         self.prev_inst[ants] = picks
+        if self.closing is not None:
+            touched = d.touched[picks]
+            present = touched >= 0
+            touched = np.where(present, touched, 0)
+            was_last = self._last_use(ants[:, None], touched) & present
 
         # Kill-before-def pressure update (mirrors rp.tracker semantics).
         for slot in range(d.uses.shape[1]):
@@ -317,6 +343,9 @@ class VectorizedColony:
             cls = d.reg_class[rx]
             cm = cls >= 0
             self.current[ax[cm], cls[cm]] -= 1
+        if self.closing is not None:
+            is_last = self._last_use(ants[:, None], touched) & present
+            self._flip_closing(ants, touched, was_last, is_last)
 
         # Release successors into the available list.
         for slot in range(d.succ_ids.shape[1]):
@@ -332,6 +361,45 @@ class VectorizedColony:
             self.avail_ids[an, pos] = sn
             self.avail_release[an, pos] = self.earliest[an, sn]
             self.avail_len[an] += 1
+
+    def _last_use(self, ants: np.ndarray, regs: np.ndarray) -> np.ndarray:
+        """Whether each ``(ant, register)`` is in its last-use state."""
+        return (
+            (self.remaining_uses[ants, regs] == 1)
+            & self.live[ants, regs]
+            & ~self.data.live_out_mask[regs]
+        )
+
+    def _flip_closing(
+        self,
+        ants: np.ndarray,
+        touched: np.ndarray,
+        was_last: np.ndarray,
+        is_last: np.ndarray,
+    ) -> None:
+        """Add +-1 to the closing count of every reader of each register
+        whose last-use state flipped (``touched`` rows are per ant in
+        ``ants``, each register at most once per row)."""
+        d = self.data
+        rows, cols = np.nonzero(was_last != is_last)
+        if not rows.size:
+            return
+        regs = touched[rows, cols]
+        begin = d.user_ptr[regs]
+        count = d.user_ptr[regs + 1] - begin
+        offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        users = d.user_ids[np.repeat(begin, count) + offset]
+        lanes = np.repeat(ants[rows], count)
+        classes = np.repeat(d.reg_class[regs], count)
+        delta = np.repeat(np.where(is_last[rows, cols], 1, -1), count)
+        # Two flipped registers of one ant may share a reader: accumulate.
+        np.add.at(self.closing[-1], (lanes, users), delta)
+        constrained = classes >= 0
+        np.add.at(
+            self.closing,
+            (classes[constrained], lanes[constrained], users[constrained]),
+            delta[constrained],
+        )
 
     def _remove_from_avail(self, doers: np.ndarray, sel: np.ndarray) -> np.ndarray:
         """Swap-remove the selected column; returns the chosen instruction ids."""
@@ -431,7 +499,8 @@ class VectorizedColony:
         for step in range(d.num_instructions):
             self.ready_peak = max(self.ready_peak, int(self.avail_len.max()))
             valid = col < self.avail_len[:, None]
-            scores = self._scores(tau, self.avail_ids, valid, primary="luc")
+            closing = self._closing_counts(valid)
+            scores = self._scores(tau, self.avail_ids, valid, "luc", closing)
             sel = self._select(scores, self.active)
             chosen = self._remove_from_avail(self.active, sel)
             scan = self.avail_len.astype(np.int64) + 1  # pre-removal size
@@ -455,34 +524,20 @@ class VectorizedColony:
     # -- pass 2 -----------------------------------------------------------------------
 
     def _candidate_excess(
-        self, any_cand: np.ndarray, target: np.ndarray
+        self, any_cand: np.ndarray, target: np.ndarray, closing: np.ndarray
     ) -> np.ndarray:
         """Per-candidate worst per-class overshoot if scheduled now.
 
         ``excess[a, c] <= 0`` means candidate ``c`` keeps ant ``a`` within
         the pass-2 pressure target. Mirrors
         :meth:`repro.rp.tracker.PressureTracker.pressure_if_scheduled`.
+        ``closing`` is the step's :meth:`_closing_counts`.
         """
         d = self.data
-        cand = self.avail_ids
-        safe = np.where(any_cand, cand, 0)
-        ants_col = self._ants[:, None]
-        excess = np.full(cand.shape, -(10**9), dtype=np.int64)
+        safe = np.where(any_cand, self.avail_ids, 0)
+        excess = np.full(safe.shape, -(10**9), dtype=np.int64)
         for ci in range(d.num_classes):
-            closes = np.zeros(cand.shape, dtype=np.int64)
-            for slot in range(d.uses.shape[1]):
-                u = d.uses[safe, slot]
-                m = any_cand & (u >= 0) & (d.reg_class[np.where(u >= 0, u, 0)] == ci)
-                um = np.where(m, u, 0)
-                pred_kill = (
-                    m
-                    & (self.remaining_uses[ants_col, um] == 1)
-                    & ~d.live_out_mask[um]
-                    & ~d.uses_redefined[safe, slot]
-                    & self.live[ants_col, um]
-                )
-                closes += pred_kill
-            after = self.current[:, ci : ci + 1] + d.defs_per_class[safe, ci] - closes
+            after = self.current[:, ci : ci + 1] + self._defs_by_class[ci][safe] - closing[ci]
             excess = np.maximum(excess, after - target[ci])
         return excess
 
@@ -533,7 +588,9 @@ class VectorizedColony:
             # ant with certainty (the peak never recedes), so selection is
             # restricted to *safe* candidates — a pure pruning of the
             # paper's terminate-on-violation rule.
-            excess = self._candidate_excess(ready_mask | semi_mask, target)
+            any_cand = ready_mask | semi_mask
+            closing = self._closing_counts(any_cand)
+            excess = self._candidate_excess(any_cand, target, closing)
             safe_ready = ready_mask & (excess <= 0)
             has_safe = safe_ready.any(axis=1)
 
@@ -552,7 +609,7 @@ class VectorizedColony:
             doers = self.active & have_ready & has_safe & ~opt_stall
             stalling = self.active & ~doers  # necessary + optional stalls
 
-            scores = self._scores(tau, self.avail_ids, safe_ready, primary="cp")
+            scores = self._scores(tau, self.avail_ids, safe_ready, "cp", closing)
             # Lanes with no safe ready candidate keep a zero score row; they
             # are excluded from doers so their (arbitrary) pick is discarded.
             sel = self._select(scores, doers)

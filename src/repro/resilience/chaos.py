@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..config import ACOParams, GPUParams, ResilienceParams
 from ..ddg.graph import DDG
+from ..errors import ScheduleError
 from ..gpusim.faults import DEFAULT_CHAOS_RATES, FaultPlan
 from ..machine.model import MachineModel
 from ..machine.targets import amd_vega20
@@ -163,7 +164,7 @@ def _run_trial(
     if recovered:
         try:
             validate_schedule(outcome.result.schedule, ddg, machine)
-        except Exception:
+        except ScheduleError:
             valid = False
     return RegionTrial(
         region=ddg.region.name,

@@ -222,3 +222,59 @@ class TestFaultInjection:
         bogus = int(colony.avail_len[1]) - 99  # a negative computed offset
         with pytest.raises(SanitizerError, match="avail_ids"):
             colony.avail_ids[1, bogus]
+
+
+class TestClosingCounts:
+    """The engine's incrementally kept closing-use counts against the
+    sanitizer's from-scratch recount."""
+
+    @pytest.mark.parametrize("pattern", ["reduce", "stencil", "gemm_tile", "select", "histogram"])
+    def test_clean_runs_pass_both_passes(self, vega, pattern):
+        from strategies import make_region
+
+        ddg = DDG(make_region(pattern, 5, 24))
+        colony, data, params = _make_colony(
+            ddg, vega, blocks=2, seed=5, heuristic_diversity=True
+        )
+        tau = PheromoneTable(data.num_instructions, params).tau
+        colony.run_rp_iteration(tau)
+        colony.run_ilp_iteration(tau, {}, max_length=4 * data.num_instructions)
+        assert colony.sanitizer.steps_checked > data.num_instructions
+
+    def test_seeded_count_corruption_is_caught(self, fig1_ddg, vega):
+        """Mutation: one unscheduled instruction's count of one ant is off
+        by one (a stray write)."""
+        colony, data, _ = _make_colony(fig1_ddg, vega)
+        colony._reset()
+        rng = np.random.default_rng(2)
+        ant = int(rng.integers(colony.num_ants))
+        inst = int(rng.integers(data.num_instructions))
+        colony.closing[int(rng.integers(data.num_classes + 1)), ant, inst] += 1
+        with pytest.raises(SanitizerError, match="ant %d's closing-use counts "
+                           "for instruction %d" % (ant, inst)):
+            colony.sanitizer.check_step(colony)
+
+    def test_missed_flips_are_caught(self, fig1_ddg, vega, monkeypatch):
+        """Mutation: the engine stops applying last-use flips."""
+        colony, _, params = _make_colony(fig1_ddg, vega)
+        monkeypatch.setattr(colony, "_flip_closing", lambda *args: None)
+        with pytest.raises(SanitizerError, match="missed or double-applied"):
+            colony.run_rp_iteration(PheromoneTable(7, params).tau)
+
+    def test_loop_engine_keeps_no_counts(self, fig1_ddg, vega):
+        from repro.parallel import LoopColony
+
+        gpu = GPUParams(blocks=1)
+        policy = DivergencePolicy.from_params(gpu)
+        params = ACOParams()
+        colony = LoopColony(
+            RegionDeviceData(fig1_ddg, vega),
+            params,
+            policy,
+            KernelAccounting(GPUDevice(), policy.num_wavefronts, coalesced=True),
+            np.random.default_rng(0),
+            sanitizer=ColonySanitizer(),
+        )
+        assert colony.closing is None
+        colony.run_rp_iteration(PheromoneTable(7, params).tau)
+        assert colony.sanitizer.steps_checked == 7

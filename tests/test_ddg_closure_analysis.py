@@ -154,6 +154,25 @@ class TestLowerBounds:
         for cls, bound in bounds.pressure:
             assert peak.get(cls, 0) >= bound
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="pressure_lower_bounds counts a use as live-through when a "
+        "later reader exists in program order, but an independent reader "
+        "may be scheduled earlier; fixing it changes shipped outputs",
+    )
+    def test_pressure_bound_sound_on_pinned_stencil(self):
+        """Pinned counterexample to test_bounds_are_sound: the bound claims
+        VGPR >= 3, yet a critical-path list schedule peaks at 2."""
+        from numpy.random import default_rng
+
+        from repro.suite.patterns import pattern_region
+
+        ddg = DDG(pattern_region("stencil", default_rng(19), 10))
+        schedule = list_schedule(ddg, amd_vega20(), heuristic=CriticalPathHeuristic())
+        peak = peak_pressure(schedule)
+        for cls, bound in region_bounds(ddg).pressure:
+            assert peak.get(cls, 0) >= bound
+
     def test_region_bounds_pressure_lookup(self, fig1_ddg):
         bounds = region_bounds(fig1_ddg)
         assert bounds.pressure_of(VGPR) == 2

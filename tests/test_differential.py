@@ -188,6 +188,45 @@ class TestBackendPairs:
             assert {r["backend"] for r in launches} == {backend}
 
 
+class TestEveryAntAgrees:
+    """Stronger than comparing shipped schedules: after one pass-1 and one
+    pass-2 iteration every ant's order, cycles and peak agree, so a
+    decision primitive that drifts only for losing ants is caught too."""
+
+    @staticmethod
+    def _ant_states(backend, ddg, seed):
+        from repro.aco import PheromoneTable
+        from repro.config import ACOParams
+        from repro.gpusim import GPUDevice, KernelAccounting
+        from repro.parallel import DivergencePolicy, RegionDeviceData
+        from repro.parallel.colony import resolve_backend
+
+        params = ACOParams()
+        policy = DivergencePolicy.from_params(GPU)
+        data = RegionDeviceData(ddg, amd_vega20())
+        colony = resolve_backend(backend)(
+            data, params, policy,
+            KernelAccounting(GPUDevice(), policy.num_wavefronts, coalesced=True),
+            seed,
+        )
+        tau = PheromoneTable(data.num_instructions, params).tau
+        colony.run_rp_iteration(tau)
+        states = [colony.order_buf.copy(), colony.peak.copy()]
+        # The tightest pass-1 peak per class makes the pressure preview bite.
+        target = dict(zip(data.classes, colony.peak.min(axis=0).tolist()))
+        colony.run_ilp_iteration(tau, target, max_length=4 * data.num_instructions)
+        states += [colony.order_buf.copy(), colony.cycles_buf.copy(), colony.peak.copy()]
+        return states
+
+    @pytest.mark.parametrize("spec", [("sort", 0, 30), ("select", 1, 30)],
+                             ids=lambda s: "%s-%d" % (s[0], s[1]))
+    def test_ant_states_identical(self, backend_pair, spec):
+        a, b = backend_pair
+        ddg = DDG(make_region(*spec))
+        for state_a, state_b in zip(self._ant_states(a, ddg, 3), self._ant_states(b, ddg, 3)):
+            assert (state_a == state_b).all()
+
+
 class TestCostModelsDiffer:
     """Identical decisions, different simulated kernels: the loop backend's
     serialized-lane accounting must charge strictly more kernel time."""

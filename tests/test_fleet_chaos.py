@@ -12,6 +12,7 @@ from repro.fleet.chaos import (
     fleet_items,
     main,
 )
+from repro.errors import ScheduleError
 from repro.gpusim.faults import WORKER_FAULT_CLASSES
 from repro.machine import amd_vega20
 
@@ -95,3 +96,27 @@ def test_main_bitcheck_passes(tmp_path, capsys):
     ])
     assert code == 0
     assert "byte-identical" in capsys.readouterr().out
+
+
+def _raise(exc):
+    def validate(*args, **kwargs):
+        raise exc
+    return validate
+
+
+def test_invalid_schedule_is_recorded_not_raised(machine, monkeypatch):
+    import repro.fleet.chaos as chaos
+
+    monkeypatch.setattr(chaos, "validate_schedule", _raise(ScheduleError("bad")))
+    report = chaos_sweep(seeds=(11,), machine=machine, sizes=(8,), shards=(2,))
+    assert report.trials and not report.all_ok
+    assert not any(t.schedules_valid for t in report.trials)
+
+
+def test_programming_error_in_validation_propagates(machine, monkeypatch):
+    # A TypeError is a bug, not an invalid schedule: it must surface.
+    import repro.fleet.chaos as chaos
+
+    monkeypatch.setattr(chaos, "validate_schedule", _raise(TypeError("bug")))
+    with pytest.raises(TypeError, match="bug"):
+        chaos_sweep(seeds=(11,), machine=machine, sizes=(8,), shards=(2,))

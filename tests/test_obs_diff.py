@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import sys
 
+import numpy as np
 import pytest
 
 import repro.parallel.scheduler as scheduler_mod
@@ -61,18 +62,22 @@ def _record(tmp_path, name, backend="vectorized", draws="full"):
 
 
 class _FlippedGen:
-    """Wraps one ant's generator; flips exactly one U[0,1) draw."""
+    """Wraps one ant's generator; flips exactly one U[0,1) draw (the
+    ``flip_at``-th, counting every value of a block draw)."""
 
     def __init__(self, inner, flip_at):
         self._inner = inner
         self._flip_at = flip_at
-        self._calls = 0
+        self._draws = 0
 
     def random(self, *args, **kwargs):
         value = self._inner.random(*args, **kwargs)
-        self._calls += 1
-        if self._calls == self._flip_at:
-            return 1.0 - value
+        first = self._draws
+        self._draws += np.size(value)
+        if first < self._flip_at <= self._draws:
+            if np.ndim(value) == 0:
+                return 1.0 - value
+            value[self._flip_at - first - 1] = 1.0 - value[self._flip_at - first - 1]
         return value
 
     def __getattr__(self, name):

@@ -12,9 +12,12 @@ warnings that the differ surfaces as a partial-diff notice, mirroring
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import struct
 
+import numpy as np
 import pytest
 
 from repro.config import GPUParams
@@ -22,9 +25,11 @@ from repro.ddg import DDG
 from repro.errors import TelemetryError
 from repro.machine import amd_vega20
 from repro.obs.diff import diff_bundles, render_report
+from repro.obs.diff import main as diff_main
 from repro.obs.record import (
     BUNDLE_SCHEMA,
     RunRecorder,
+    lane_digest,
     load_bundle,
     recording_scope,
     span_tree_payload,
@@ -131,6 +136,73 @@ class TestRoundTrip:
     def test_unknown_draw_level_rejected(self):
         with pytest.raises(TelemetryError):
             RunRecorder(draws="everything")
+
+
+class TestLaneDigest:
+    """Schema 2: a lane's digest is sha256 of its draws' bytes."""
+
+    def test_schema_is_two(self):
+        assert BUNDLE_SCHEMA == 2
+
+    def test_digest_is_sha256_of_the_lane_bytes(self, tmp_path):
+        path = _record_run(tmp_path / "bundle", draws="full")
+        lanes = [lane for entry in load_bundle(path).rng for lane in entry["ants"].values()]
+        assert lanes
+        for lane in lanes:
+            data = struct.pack("<%dd" % len(lane["v"]), *lane["v"])
+            assert lane["n"] == len(lane["v"])
+            assert lane["d"] == hashlib.sha256(data).hexdigest()[:16]
+
+    def test_digest_pins_a_known_lane(self):
+        assert lane_digest(np.array([0.5, 0.25])) == (
+            hashlib.sha256(bytes.fromhex("000000000000e03f000000000000d03f"))
+            .hexdigest()[:16]
+        )
+
+    def test_scalar_and_batched_observation_write_identical_lines(self, tmp_path):
+        draws = np.random.default_rng(3).random((6, 4))
+        leaders = np.array([0, 2])
+        scalar = RunRecorder(draws="full")
+        batched = RunRecorder(draws="full")
+        for recorder in (scalar, batched):
+            recorder.begin_iteration("r", 1, 0)
+        for step, row in enumerate(draws):
+            if step % 2:
+                for ant in leaders.tolist():
+                    scalar.observe_draw(ant, float(row[ant]))
+                batched.observe_draws(leaders, row[leaders])
+            for ant, value in enumerate(row.tolist()):
+                scalar.observe_draw(ant, value)
+            batched.observe_draws(None, row.copy())
+        for recorder, name in ((scalar, "scalar"), (batched, "batched")):
+            recorder.save(str(tmp_path / name))
+        with open(tmp_path / "scalar" / "rng.jsonl", "rb") as a:
+            with open(tmp_path / "batched" / "rng.jsonl", "rb") as b:
+                assert a.read() == b.read()
+
+    def test_loop_and_vectorized_runs_record_identical_draws(self, tmp_path):
+        parts = {}
+        for backend in ("loop", "vectorized"):
+            recorder = RunRecorder(draws="digest")
+            with recording_scope(recorder):
+                _run(telemetry=Telemetry(sink=recorder.sink), backend=backend)
+            path = recorder.save(str(tmp_path / backend))
+            with open(os.path.join(path, "rng.jsonl"), "rb") as handle:
+                parts[backend] = handle.read()
+        assert parts["loop"] and parts["loop"] == parts["vectorized"]
+
+    def test_diff_rejects_a_schema_one_bundle(self, tmp_path):
+        path_a = _record_run(tmp_path / "a")
+        path_b = _record_run(tmp_path / "b")
+        manifest_path = os.path.join(path_b, "manifest.json")
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        manifest["bundle_schema"] = 1
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(TelemetryError, match="different schemas"):
+            diff_bundles(path_a, path_b)
+        assert diff_main([path_a, path_b, "--quiet"]) == 2
 
 
 class TestDiffSelf:

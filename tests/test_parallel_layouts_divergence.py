@@ -34,6 +34,25 @@ class TestRegionDeviceData:
                     assert data.occ_lut[ci, pressure] == table.occupancy(pressure)
                     assert data.aprp_lut[ci, pressure] == table.aprp(pressure)
 
+    def test_luts_built_once_per_machine(self, fig1_ddg, chain_region, vega):
+        first = RegionDeviceData(fig1_ddg, vega)
+        second = RegionDeviceData(DDG(chain_region), vega)
+        assert first.occ_lut is second.occ_lut
+        assert first.aprp_lut is second.aprp_lut
+        with pytest.raises(ValueError):
+            first.occ_lut[0, 0] = 0
+
+    def test_user_table_lists_non_redefining_readers(self, fig1_ddg, vega):
+        data = RegionDeviceData(fig1_ddg, vega)
+        for reg in range(data.num_registers):
+            users = data.user_ids[data.user_ptr[reg] : data.user_ptr[reg + 1]]
+            expected = [
+                inst
+                for inst in range(data.num_instructions)
+                if reg in data.uses[inst] and reg not in data.defs[inst]
+            ]
+            assert list(users) == expected
+
     def test_live_out_mask(self, fig1_ddg, vega):
         data = RegionDeviceData(fig1_ddg, vega)
         out_ids = [i for i in range(data.num_registers) if data.live_out_mask[i]]

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.parallel.rng import AntRngStreams
+from repro.parallel.rng import DRAW_BUFFER, AntRngStreams
 
 #: First draw of each of the first four spawn children of seed 2024.
 #: Recorded once; any change means seeded schedules change everywhere.
@@ -89,3 +89,63 @@ class TestCoercion:
             AntRngStreams(7, 0)
         with pytest.raises(ConfigError):
             AntRngStreams(7, 8).uniform_wavefront_leaders(3, 4)
+
+
+class TestBufferedDraws:
+    """Draws come from per-ant buffers refilled by block draws; neither the
+    values nor a checkpoint's resume point may depend on that."""
+
+    def test_block_draw_equals_scalar_draws_and_state(self):
+        scalar, block = (np.random.default_rng(2024).spawn(1)[0] for _ in range(2))
+        values = [scalar.random() for _ in range(DRAW_BUFFER)]
+        assert list(block.random(size=DRAW_BUFFER)) == values
+        assert block.bit_generator.state == scalar.bit_generator.state
+
+    def test_draws_cross_buffer_refills_unchanged(self):
+        streams = AntRngStreams(7, 3)
+        reference = [np.random.default_rng(7).spawn(3)[i] for i in range(3)]
+        for _step in range(2 * DRAW_BUFFER + 5):
+            expected = [g.random() for g in reference]
+            assert list(streams.uniform_ants()) == expected
+
+    def test_state_rewinds_unconsumed_draws(self):
+        streams = AntRngStreams(7, 4)
+        for _ in range(5):
+            streams.uniform_ants()
+        streams.uniform_ant(2)
+        captured = streams.state()
+        # Capturing leaves the live streams where they were.
+        after = [streams.uniform_ant(i) for i in range(4)]
+        resumed = AntRngStreams(99, 4)
+        resumed.restore(captured)
+        assert [resumed.uniform_ant(i) for i in range(4)] == after
+        # The state is what the scalar draws alone would have left.
+        plain = [np.random.default_rng(7).spawn(4)[i] for i in range(4)]
+        for i, g in enumerate(plain):
+            for _ in range(5 + (i == 2)):
+                g.random()
+            assert g.bit_generator.state == captured[i]
+
+    def test_batch_to_scalar_resume_is_exact(self):
+        # A checkpoint taken by the batch engine resumes draw for draw in
+        # the scalar engine (and back).
+        batch = AntRngStreams(11, 8)
+        for _ in range(3):
+            batch.uniform_wavefront_leaders(2, 4)
+            batch.uniform_ants()
+        scalar = AntRngStreams(11, 8)
+        scalar.restore(batch.state())
+        for _ in range(DRAW_BUFFER):
+            assert list(batch.uniform_ants()) == [scalar.uniform_ant(i) for i in range(8)]
+        batch.restore(scalar.state())
+        assert list(batch.uniform_ants()) == [scalar.uniform_ant(i) for i in range(8)]
+
+    def test_generator_without_advance_reads_one_draw_at_a_time(self):
+        seed = np.random.Generator(np.random.MT19937(5))
+        streams = AntRngStreams(seed, 2)
+        streams.uniform_ants()
+        captured = streams.state()
+        expected = list(streams.uniform_ants())
+        resumed = AntRngStreams(np.random.Generator(np.random.MT19937(6)), 2)
+        resumed.restore(captured)
+        assert list(resumed.uniform_ants()) == expected

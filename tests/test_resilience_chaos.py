@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ScheduleError
 from repro.machine import amd_vega20
 from repro.resilience.chaos import (
     ChaosReport,
@@ -64,3 +65,27 @@ def test_report_aggregation():
 
 def test_main_exits_clean():
     assert main(["--seeds", "11", "--sizes", "8", "--skip-proofs"]) == 0
+
+
+def _raise(exc):
+    def validate(*args, **kwargs):
+        raise exc
+    return validate
+
+
+def test_invalid_schedule_is_recorded_not_raised(machine, monkeypatch):
+    import repro.resilience.chaos as chaos
+
+    monkeypatch.setattr(chaos, "validate_schedule", _raise(ScheduleError("bad")))
+    report = chaos_sweep(seeds=(11,), machine=machine, sizes=(8,))
+    assert report.trials and not report.all_valid
+
+
+def test_programming_error_in_validation_propagates(machine, monkeypatch):
+    # A TypeError is a bug in the harness or the verifier, not an invalid
+    # schedule: it must not be recorded as a recovered-but-invalid trial.
+    import repro.resilience.chaos as chaos
+
+    monkeypatch.setattr(chaos, "validate_schedule", _raise(TypeError("bug")))
+    with pytest.raises(TypeError, match="bug"):
+        chaos_sweep(seeds=(11,), machine=machine, sizes=(8,))
