@@ -25,7 +25,8 @@ from .strategy import (
     resolve_strategy,
     strategy_from_env,
 )
-from .sequential import SequentialACOScheduler, ACOResult, PassResult
+from .driver import ACOResult, PassResult
+from .sequential import SequentialACOScheduler
 from .weighted import WeightedSumACOScheduler, WeightedACOResult
 
 __all__ = [

@@ -226,6 +226,15 @@ class GPUParams:
         )
 
 
+def backend_from_env() -> Optional[str]:
+    """The ``REPRO_BACKEND`` engine override, or ``None`` when unset/empty
+    (the parallel scheduler validates the name when it builds a colony)."""
+    import os
+
+    value = os.environ.get("REPRO_BACKEND", "").strip()
+    return value or None
+
+
 def replace_params(params, **changes):
     """``dataclasses.replace`` that works on any of the frozen param classes."""
     import dataclasses

@@ -309,32 +309,20 @@ def bitcheck(
     including the ``shards`` schedule entries, so a divergence names the
     exact slot/worker/dispatch where supervision forked.
     """
-    import os
-
-    from ..obs.diff import diff_bundles, write_report
-    from ..obs.record import RunRecorder, recording_scope
-    from ..telemetry import Telemetry, telemetry_session
+    from ..obs.diff import record_twice_and_diff
 
     machine = amd_vega20()
     items = fleet_items(machine, sizes)
     plan = FaultPlan.worker_plan(seed)
-    paths = []
-    for label in ("a", "b"):
-        path = os.path.join(out_dir, "fleet-%s" % label)
-        recorder = RunRecorder(draws="digest")
-        telemetry = Telemetry(sink=recorder.sink)
-        with telemetry_session(telemetry), recording_scope(recorder):
-            FleetSupervisor(
-                fleet_scheduler(machine),
-                FleetParams(num_shards=num_shards),
-                worker_faults=plan,
-            ).schedule_batch(items)
-        recorder.save(path)
-        paths.append(path)
-    report = diff_bundles(paths[0], paths[1])
-    if not report["identical"]:
-        write_report(report, os.path.join(out_dir, "first-divergence.json"))
-    return bool(report["identical"]), report
+    return record_twice_and_diff(
+        lambda: FleetSupervisor(
+            fleet_scheduler(machine),
+            FleetParams(num_shards=num_shards),
+            worker_faults=plan,
+        ).schedule_batch(items),
+        out_dir,
+        "fleet",
+    )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -34,10 +34,10 @@ import hashlib
 import json
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import TelemetryError
-from .record import RunBundle, load_bundle
+from .record import RunBundle, RunRecorder, load_bundle, recording_scope
 
 #: Version stamp of the diff report payload.
 DIFF_SCHEMA = 1
@@ -429,6 +429,32 @@ def write_report(report: Dict, path: str) -> None:
     with open(path, "w") as handle:
         handle.write(json.dumps(report, sort_keys=True, indent=2))
         handle.write("\n")
+
+
+def record_twice_and_diff(
+    run: Callable[[], object], out_dir: str, prefix: str
+) -> Tuple[bool, Dict]:
+    """Record ``run()`` twice and diff the two bundles for bit identity.
+
+    Each run is recorded with draw digests under its own telemetry session
+    into ``out_dir/<prefix>-a`` and ``-b``; on a mismatch the first
+    divergence report is written to ``out_dir/first-divergence.json``.
+    Returns ``(identical, diff_report)``.
+    """
+    from ..telemetry import Telemetry, telemetry_session
+
+    paths = []
+    for label in ("a", "b"):
+        path = os.path.join(out_dir, "%s-%s" % (prefix, label))
+        recorder = RunRecorder(draws="digest")
+        with telemetry_session(Telemetry(sink=recorder.sink)), recording_scope(recorder):
+            run()
+        recorder.save(path)
+        paths.append(path)
+    report = diff_bundles(paths[0], paths[1])
+    if not report["identical"]:
+        write_report(report, os.path.join(out_dir, "first-divergence.json"))
+    return bool(report["identical"]), report
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -248,25 +248,11 @@ def bitcheck(
     Returns ``(identical, diff_report)``; the bundles (and, on mismatch,
     ``first-divergence.json``) are left in ``out_dir`` for CI artifacts.
     """
-    import os
+    from ..obs.diff import record_twice_and_diff
 
-    from ..obs.diff import diff_bundles, write_report
-    from ..obs.record import RunRecorder, recording_scope
-    from ..telemetry import Telemetry, telemetry_session
-
-    paths = []
-    for label in ("a", "b"):
-        path = os.path.join(out_dir, "chaos-%s" % label)
-        recorder = RunRecorder(draws="digest")
-        telemetry = Telemetry(sink=recorder.sink)
-        with telemetry_session(telemetry), recording_scope(recorder):
-            chaos_sweep(seeds=seeds, sizes=sizes)
-        recorder.save(path)
-        paths.append(path)
-    report = diff_bundles(paths[0], paths[1])
-    if not report["identical"]:
-        write_report(report, os.path.join(out_dir, "first-divergence.json"))
-    return bool(report["identical"]), report
+    return record_twice_and_diff(
+        lambda: chaos_sweep(seeds=seeds, sizes=sizes), out_dir, "chaos"
+    )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

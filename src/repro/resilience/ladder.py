@@ -39,22 +39,20 @@ exit code reads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
-from ..aco.sequential import ACOResult, SequentialACOScheduler
+from ..aco.driver import ACOResult, TwoPassACOScheduler
+from ..aco.sequential import SequentialACOScheduler
 from ..config import ResilienceParams
 from ..errors import InjectedFault, RegionUnrecoverable
 from ..gpusim.faults import FaultPlan
 from ..obs.context import current_trace, region_trace
-from ..parallel.scheduler import ParallelACOResult, ParallelACOScheduler
+from ..parallel.scheduler import ParallelACOScheduler
 from ..suite.rng import derive_seed
 from ..telemetry import Telemetry
 from .checkpoint import RegionCheckpoint
 from .log import get_resilience_log
 from .watchdog import DeadlineBudget
-
-AnyScheduler = Union[SequentialACOScheduler, ParallelACOScheduler]
-AnyResult = Union[ACOResult, ParallelACOResult]
 
 #: Sentinel rung: ship the heuristic schedule, run no search.
 HEURISTIC_RUNG = "heuristic"
@@ -71,7 +69,7 @@ class LadderOutcome:
     ``spent_seconds - result.seconds`` when a result exists.
     """
 
-    result: Optional[AnyResult]
+    result: Optional[ACOResult]
     rung: str
     attempts: int
     resumed_attempts: int = 0
@@ -111,7 +109,7 @@ class _Attempt:
     faults: list = field(default_factory=list)
 
 
-def ladder_rungs(scheduler: AnyScheduler) -> Tuple[str, ...]:
+def ladder_rungs(scheduler: TwoPassACOScheduler) -> Tuple[str, ...]:
     """The rung sequence starting at ``scheduler``'s configuration."""
     if isinstance(scheduler, ParallelACOScheduler):
         if scheduler.backend == "vectorized":
@@ -120,33 +118,33 @@ def ladder_rungs(scheduler: AnyScheduler) -> Tuple[str, ...]:
     return ("sequential", HEURISTIC_RUNG)
 
 
-def _scheduler_for_rung(base: AnyScheduler, rung: str) -> AnyScheduler:
+def _scheduler_for_rung(base: TwoPassACOScheduler, rung: str) -> TwoPassACOScheduler:
     """An engine for ``rung`` configured like ``base`` (same machine,
-    parameters, device and telemetry/verify injection)."""
+    parameters, device, telemetry/verify injection and pheromone strategy
+    — a retry must not silently switch algorithm)."""
     if isinstance(base, ParallelACOScheduler):
         if rung == base.backend:
             return base
-        if rung in ("vectorized", "loop"):
-            return ParallelACOScheduler(
-                base.machine,
-                params=base.params,
-                gpu_params=base.gpu_params,
-                device=base.device,
-                telemetry=base._telemetry,
-                verify=base._verify,
-                backend=rung,
-            )
-        return SequentialACOScheduler(
-            base.machine,
+        shared = dict(
             params=base.params,
             telemetry=base._telemetry,
             verify=base._verify,
+            strategy=base.strategy_name,
         )
+        if rung in ("vectorized", "loop"):
+            return ParallelACOScheduler(
+                base.machine,
+                gpu_params=base.gpu_params,
+                device=base.device,
+                backend=rung,
+                **shared,
+            )
+        return SequentialACOScheduler(base.machine, **shared)
     return base  # sequential entry: its only engine rung is itself
 
 
 def schedule_with_resilience(
-    scheduler: AnyScheduler,
+    scheduler: TwoPassACOScheduler,
     ddg,
     seed: int,
     resilience: ResilienceParams,

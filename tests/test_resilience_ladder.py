@@ -12,6 +12,7 @@ from repro.parallel import BatchItem, MultiRegionScheduler, ParallelACOScheduler
 from repro.pipeline import CompilePipeline, FilterDecision
 from repro.resilience.ladder import (
     HEURISTIC_RUNG,
+    _scheduler_for_rung,
     ladder_rungs,
     schedule_with_resilience,
 )
@@ -62,6 +63,25 @@ class TestRungs:
         assert ladder_rungs(SequentialACOScheduler(machine)) == (
             "sequential", HEURISTIC_RUNG,
         )
+
+    @pytest.mark.parametrize("rung", ["loop", "sequential"])
+    @pytest.mark.parametrize("via", ["argument", "gpu_params"])
+    def test_downgrade_keeps_strategy(self, machine, monkeypatch, rung, via):
+        """A rebuilt rung runs the base's pheromone strategy, however the
+        base was given it: a retry must not silently switch algorithm."""
+        monkeypatch.delenv("REPRO_STRATEGY", raising=False)
+        if via == "argument":
+            base = parallel(machine, strategy="mmas")
+        else:
+            base = ParallelACOScheduler(
+                machine,
+                params=ACOParams(max_iterations=12),
+                gpu_params=GPUParams(blocks=4, strategy="mmas"),
+            )
+        assert base.strategy_name == "mmas"
+        engine = _scheduler_for_rung(base, rung)
+        assert engine is not base
+        assert engine.strategy_name == "mmas"
 
 
 class TestLadder:
