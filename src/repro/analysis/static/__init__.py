@@ -5,7 +5,7 @@ disciplines instead of documenting them: determinism hazards (DET-*),
 RNG stream discipline (RNG-*), lockstep-divergence hazards (DIV-*),
 simulated-time accounting (ACC-*), and the import-layering contract
 (LAY-*). The migrated legacy determinism lint lives on as composite rule
-``DET-001``; ``repro.analysis.lint`` remains as a thin deprecation shim.
+``DET-001``.
 
 Typical use::
 

@@ -1,7 +1,7 @@
 """``DET-001`` — the migrated AST determinism lint (PR 2).
 
-This is the original ``repro.analysis.lint`` checker, registered as the
-framework's first rule. Its historical sub-codes are preserved verbatim in
+This is the original AST determinism lint, registered as the framework's
+first rule. Its historical sub-codes are preserved verbatim in
 each finding's ``code`` field (and message prefix) so existing tooling and
 muscle memory keep working:
 
@@ -13,8 +13,7 @@ muscle memory keep working:
 ``TEL002``  a telemetry module imports scheduler/cost state;
 ``TIME001`` wall-clock reads in a kernel/ant path.
 
-``repro.analysis.lint`` remains importable and runnable as a deprecation
-shim delegating here.
+Run it alone with ``python -m repro.analysis.static --select DET-001``.
 """
 
 from __future__ import annotations
@@ -157,7 +156,7 @@ class LegacyDeterminismRule(Rule):
     name = "legacy-determinism-lint"
     severity = "error"
     summary = (
-        "Composite determinism lint migrated from repro.analysis.lint "
+        "Composite determinism lint, the original AST checker "
         "(sub-codes RNG001-RNG004, TEL001-TEL002, TIME001)"
     )
     rationale = (

@@ -40,7 +40,6 @@ failures are immediate API errors, exactly like their real counterparts.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -238,22 +237,3 @@ class FaultyDevice:
         self, region: str, pass_index: int, attempt: int
     ) -> Optional[int]:
         return self.plan.hang_iteration(region, pass_index, attempt)
-
-
-def chaos_seed_from_env() -> Optional[int]:
-    """The ``REPRO_CHAOS`` chaos seed, or None when unset/empty."""
-    value = os.environ.get("REPRO_CHAOS", "").strip()
-    if not value:
-        return None
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError("REPRO_CHAOS must be an integer seed, got %r" % value) from None
-
-
-def fault_plan_from_env() -> Optional[FaultPlan]:
-    """A default-mix :class:`FaultPlan` from ``REPRO_CHAOS``, or None."""
-    seed = chaos_seed_from_env()
-    if seed is None:
-        return None
-    return FaultPlan.from_seed(seed)

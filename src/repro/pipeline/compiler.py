@@ -18,7 +18,7 @@ times, and the heuristic/ACO/final schedule qualities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple, Union
 
 from ..analysis.ddg_lint import lint_ddg
@@ -341,13 +341,17 @@ class CompilePipeline:
                     telemetry=self.telemetry,
                 )
             except RegionUnrecoverable as exc:
-                outcome.decision = FilterDecision.UNRECOVERABLE
-                outcome.scheduling_seconds = heuristic_seconds + exc.spent_seconds
-                return outcome
+                return replace(
+                    outcome,
+                    decision=FilterDecision.UNRECOVERABLE,
+                    scheduling_seconds=heuristic_seconds + exc.spent_seconds,
+                )
             if ladder.result is None:
-                outcome.decision = FilterDecision.DEGRADED
-                outcome.scheduling_seconds = heuristic_seconds + ladder.spent_seconds
-                return outcome
+                return replace(
+                    outcome,
+                    decision=FilterDecision.DEGRADED,
+                    scheduling_seconds=heuristic_seconds + ladder.spent_seconds,
+                )
             aco_result = ladder.result
             aco_seconds = ladder.spent_seconds
         else:
@@ -360,23 +364,22 @@ class CompilePipeline:
             )
             aco_seconds = aco_result.seconds
         aco_quality = evaluate_schedule(aco_result.schedule, self.machine)
-        outcome.aco = aco_quality
-        outcome.pass1 = aco_result.pass1
-        outcome.pass2 = aco_result.pass2
-        outcome.scheduling_seconds = heuristic_seconds + aco_seconds
-
-        if self.post_filter.keep_aco(
+        keep = self.post_filter.keep_aco(
             aco_quality.occupancy,
             aco_quality.length,
             heuristic_quality.occupancy,
             heuristic_quality.length,
-        ):
-            outcome.final = aco_quality
-            outcome.schedule = aco_result.schedule
-            outcome.decision = FilterDecision.ACO_APPLIED
-        else:
-            outcome.decision = FilterDecision.REVERTED
-        return outcome
+        )
+        return replace(
+            outcome,
+            aco=aco_quality,
+            pass1=aco_result.pass1,
+            pass2=aco_result.pass2,
+            scheduling_seconds=heuristic_seconds + aco_seconds,
+            final=aco_quality if keep else heuristic_quality,
+            schedule=aco_result.schedule if keep else heuristic_schedule,
+            decision=FilterDecision.ACO_APPLIED if keep else FilterDecision.REVERTED,
+        )
 
     # -- kernel / suite level ------------------------------------------------------
 

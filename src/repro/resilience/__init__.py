@@ -28,8 +28,6 @@ from ..gpusim.faults import (
     FAULT_CLASSES,
     FaultPlan,
     FaultyDevice,
-    chaos_seed_from_env,
-    fault_plan_from_env,
 )
 from .checkpoint import CHECKPOINT_VERSION, RegionCheckpoint
 from .log import (
@@ -49,8 +47,6 @@ __all__ = [
     "FaultyDevice",
     "RegionCheckpoint",
     "ResilienceLog",
-    "chaos_seed_from_env",
-    "fault_plan_from_env",
     "get_resilience_log",
     "reset_resilience_log",
     "resilience_log_session",

@@ -1,15 +1,26 @@
-"""Tests for the AST determinism lint (python -m repro.analysis.lint)."""
+"""Tests for the AST determinism lint, static-analysis rule DET-001.
+
+Each case scans a file laid out in a pseudo-package under ``tmp_path``
+with only DET-001 (and SYN-001, for unparsable files) selected, and
+asserts the historical sub-codes (``RNG001`` .. ``TIME001``, ``SYN001``)
+the rule reports in each finding's ``code``.
+"""
 
 import os
 
-from repro.analysis.lint import default_target, lint_file, main, run_lint
+import repro
+from repro.analysis.static.engine import analyze_paths
+
+
+def run_lint(paths):
+    return analyze_paths(paths, select=["DET-001", "SYN-001"]).findings
 
 
 def _lint_source(tmp_path, rel, source):
     path = tmp_path / rel
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(source)
-    return lint_file(str(path), str(tmp_path))
+    return run_lint([str(tmp_path)])
 
 
 def _codes(violations):
@@ -18,12 +29,8 @@ def _codes(violations):
 
 class TestRepoIsClean:
     def test_repro_package_passes(self):
-        violations = run_lint([default_target()])
+        violations = run_lint([os.path.dirname(repro.__file__)])
         assert violations == [], "\n".join(str(v) for v in violations)
-
-    def test_main_exit_zero(self, capsys):
-        assert main([default_target()]) == 0
-        assert "clean" in capsys.readouterr().out
 
 
 class TestRNGRules:
@@ -126,32 +133,14 @@ class TestSuppressionsAndErrors:
         violations = _lint_source(tmp_path, "aco/broken.py", "def f(:\n")
         assert _codes(violations) == ["SYN001"]
 
-    def test_main_nonzero_on_violation(self, tmp_path, capsys):
+    def test_directory_target(self, tmp_path):
         path = tmp_path / "rp" / "bad.py"
         path.parent.mkdir(parents=True)
         path.write_text("import random\nrandom.shuffle([1])\n")
-        assert main([str(tmp_path)]) == 1
-        out = capsys.readouterr().out
-        assert "RNG001" in out
+        assert _codes(run_lint([str(tmp_path)])) == ["RNG001"]
 
     def test_single_file_target(self, tmp_path):
         path = tmp_path / "loose.py"
         path.write_text("import numpy as np\nnp.random.seed(1)\n")
         violations = run_lint([str(path)])
         assert _codes(violations) == ["RNG004"]
-
-    def test_module_is_runnable(self):
-        """python -m repro.analysis.lint must stay invokable (CI uses it)."""
-        import subprocess
-        import sys
-
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.dirname(os.path.abspath(default_target()))
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.analysis.lint"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "clean" in proc.stdout

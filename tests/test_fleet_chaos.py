@@ -105,7 +105,7 @@ def _raise(exc):
 
 
 def test_invalid_schedule_is_recorded_not_raised(machine, monkeypatch):
-    import repro.fleet.chaos as chaos
+    import repro.resilience.chaos as chaos  # holds the one validate_schedule call
 
     monkeypatch.setattr(chaos, "validate_schedule", _raise(ScheduleError("bad")))
     report = chaos_sweep(seeds=(11,), machine=machine, sizes=(8,), shards=(2,))
@@ -115,7 +115,7 @@ def test_invalid_schedule_is_recorded_not_raised(machine, monkeypatch):
 
 def test_programming_error_in_validation_propagates(machine, monkeypatch):
     # A TypeError is a bug, not an invalid schedule: it must surface.
-    import repro.fleet.chaos as chaos
+    import repro.resilience.chaos as chaos  # holds the one validate_schedule call
 
     monkeypatch.setattr(chaos, "validate_schedule", _raise(TypeError("bug")))
     with pytest.raises(TypeError, match="bug"):

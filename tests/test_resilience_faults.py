@@ -19,8 +19,6 @@ from repro.gpusim.faults import (
     FAULT_CLASSES,
     FaultPlan,
     FaultyDevice,
-    chaos_seed_from_env,
-    fault_plan_from_env,
 )
 from repro.resilience.watchdog import DeadlineBudget
 
@@ -137,16 +135,14 @@ class TestExceptionTaxonomy:
 class TestEnvironment:
     def test_chaos_seed(self, monkeypatch):
         monkeypatch.delenv("REPRO_CHAOS", raising=False)
-        assert chaos_seed_from_env() is None
-        assert fault_plan_from_env() is None
+        assert ResilienceParams.from_env().chaos_seed is None
         monkeypatch.setenv("REPRO_CHAOS", "123")
-        assert chaos_seed_from_env() == 123
-        assert fault_plan_from_env().seed == 123
+        assert ResilienceParams.from_env().chaos_seed == 123
 
     def test_bad_chaos_seed(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS", "banana")
         with pytest.raises(ConfigError):
-            chaos_seed_from_env()
+            ResilienceParams.from_env()
 
     def test_resilience_params_from_env(self, monkeypatch):
         for name in ("REPRO_DEADLINE", "REPRO_MAX_RETRIES", "REPRO_CHAOS", "REPRO_DEGRADE"):
