@@ -16,7 +16,8 @@ explicit ``verify=True`` on the parallel scheduler), the colony:
   available list and the issued prefix (a cross-ant write would break
   these with overwhelming probability), non-negative counters, and the
   incrementally maintained closing-use counts against a from-scratch
-  recount;
+  recount, and that the sentinel columns the padded step writes through
+  stay inert (never live, never released);
 * asserts wavefront-uniform explore/exploit draws whenever the
   wavefront-level-choice divergence optimization claims uniformity.
 
@@ -34,6 +35,10 @@ import numpy as np
 from ..errors import SanitizerError
 
 _TRUTHY = ("1", "true", "yes", "on")
+
+#: Half the sentinel predecessor counter's start value: an iteration that
+#: brings it this low has written real releases to the sentinel column.
+_SENTINEL_FLOOR = np.iinfo(np.int32).max // 2
 
 
 def sanitize_enabled() -> bool:
@@ -120,7 +125,9 @@ class ColonySanitizer:
     # -- one-time layout audit ----------------------------------------------
 
     def audit_layout(self, colony) -> None:
-        """Check that per-ant rows occupy disjoint memory (no aliasing)."""
+        """Check that per-ant rows occupy disjoint memory (no aliasing),
+        that the padded buffers are checked, and that every padding slot
+        of the step's tables names a sentinel."""
         for name in ("avail_ids", "avail_release", "pred_remaining",
                      "remaining_uses", "order_buf", "cycles_buf"):
             arr = getattr(colony, name)
@@ -140,6 +147,48 @@ class ColonySanitizer:
             raise SanitizerError(
                 "available-list width %d does not match the declared "
                 "capacity %d" % (colony.avail_ids.shape[1], cap)
+            )
+        # The step writes through the padded buffers: they must be checked
+        # too, and the public names views of their real columns.
+        for name in ("pred_remaining", "earliest", "remaining_uses", "live"):
+            padded = getattr(colony, name + "_pad")
+            view = getattr(colony, name)
+            if not isinstance(padded, CheckedArray):
+                raise SanitizerError(
+                    "%s_pad is not behind a checked accessor" % name
+                )
+            if padded.shape != (colony.num_ants, view.shape[1] + 1) or not (
+                np.shares_memory(padded, view)
+            ):
+                raise SanitizerError(
+                    "%s is not the real columns of %s_pad (one sentinel "
+                    "column)" % (name, name)
+                )
+        self._audit_padding(colony.data)
+
+    @staticmethod
+    def _audit_padding(d) -> None:
+        """Every padding slot of the step's tables names a sentinel, and
+        the sentinel's flags make it inert."""
+        n, r = d.num_instructions, d.num_registers
+        padding = ~(d.touched_reads | d.touched_defines)
+        if (d.touched[padding] != r).any() or (d.touched[~padding] >= r).any():
+            raise SanitizerError(
+                "a touched-register padding slot names a real register "
+                "(sentinel is %d): the step would write it" % r
+            )
+        if not padding[n].all():
+            raise SanitizerError("the sentinel instruction touches a register")
+        if not d.touched_live_out[padding].all() or d.touched_class[padding].any():
+            raise SanitizerError(
+                "a touched-register padding slot is not inert (live-out, no class)"
+            )
+        width = d.succ_ids.shape[1]
+        real = np.arange(width)[None, :] < np.append(d.succ_count, 0)[:, None]
+        if (d.succ_ids[~real] != n).any() or (d.succ_ids[real] >= n).any():
+            raise SanitizerError(
+                "a successor padding slot names a real instruction "
+                "(sentinel is %d): the step would release it" % n
             )
 
     # -- divergence uniformity ----------------------------------------------
@@ -177,6 +226,10 @@ class ColonySanitizer:
             raise SanitizerError(
                 "available list grew to %d entries; the Section V-A bound "
                 "sized the buffer at %d" % (peak, cap)
+            )
+        if (avail_ids == n).any():
+            raise SanitizerError(
+                "available list holds the sentinel instruction %d" % n
             )
         cols = np.arange(avail_ids.shape[1])[None, :]
         valid = cols < avail_len[:, None]
@@ -219,6 +272,16 @@ class ColonySanitizer:
             )
         if np.asarray(colony.pred_remaining).min() < 0:
             raise SanitizerError("negative unscheduled-predecessor counter")
+        # The sentinel columns stay inert: never live, and a predecessor
+        # counter that starts at 2**31 - 1 and loses at most one per step.
+        if np.asarray(colony.live_pad)[:, -1].any():
+            raise SanitizerError("the sentinel register became live")
+        if np.asarray(colony.pred_remaining_pad)[:, -1].min() < _SENTINEL_FLOOR:
+            raise SanitizerError(
+                "the sentinel instruction's predecessor counter fell to %d "
+                "(a real release was written to the sentinel column)"
+                % int(np.asarray(colony.pred_remaining_pad)[:, -1].min())
+            )
         if np.asarray(colony.current).min() < 0:
             raise SanitizerError("negative register-pressure counter")
         closing = getattr(colony, "closing", None)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from typing import List, Optional
 
-from ..errors import ParseError
+from ..errors import IRError, ParseError
 from .block import SchedulingRegion
 from .instructions import Instruction, opcode
 from .registers import VirtualRegister
@@ -39,8 +39,8 @@ def _parse_reg_list(text: Optional[str], line_no: int) -> List[VirtualRegister]:
             continue
         try:
             regs.append(VirtualRegister.parse(chunk))
-        except Exception as exc:
-            raise ParseError(str(exc), line_no)
+        except IRError as exc:
+            raise ParseError(str(exc), line_no) from None
     return regs
 
 
@@ -51,6 +51,7 @@ def parse_region(text: str) -> SchedulingRegion:
     live_out: List[VirtualRegister] = []
     instructions: List[Instruction] = []
     saw_end = False
+    live_out_line = 0
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -73,26 +74,33 @@ def parse_region(text: str) -> SchedulingRegion:
             continue
         if line.startswith("live_out:"):
             live_out.extend(_parse_reg_list(line[len("live_out:"):], line_no))
+            live_out_line = live_out_line or line_no
             continue
         match = _INST_RE.match(line)
         if not match:
             raise ParseError("cannot parse instruction %r" % line, line_no)
         try:
             op = opcode(match.group("op"))
-        except Exception as exc:
-            raise ParseError(str(exc), line_no)
+        except IRError as exc:
+            raise ParseError(str(exc), line_no) from None
         lat_text = match.group("lat")
         label = match.group("label")
-        instructions.append(
-            Instruction(
-                index=len(instructions),
-                op=op,
-                defs=tuple(_parse_reg_list(match.group("defs"), line_no)),
-                uses=tuple(_parse_reg_list(match.group("uses"), line_no)),
-                latency=int(lat_text) if lat_text is not None else -1,
-                name="" if re.fullmatch(r"i\d+", label) else label,
+        defs = tuple(_parse_reg_list(match.group("defs"), line_no))
+        uses = tuple(_parse_reg_list(match.group("uses"), line_no))
+        try:
+            instructions.append(
+                Instruction(
+                    index=len(instructions),
+                    op=op,
+                    defs=defs,
+                    uses=uses,
+                    latency=int(lat_text) if lat_text is not None else -1,
+                    name="" if re.fullmatch(r"i\d+", label) else label,
+                )
             )
-        )
+        except (IRError, ValueError) as exc:
+            # A duplicate def or use, or a latency too long to convert.
+            raise ParseError(str(exc), line_no) from None
 
     if name is None:
         raise ParseError("empty input: no 'region' header")
@@ -102,9 +110,13 @@ def parse_region(text: str) -> SchedulingRegion:
         raise ParseError("region %r has no instructions" % name)
 
     inferred = SchedulingRegion(instructions, name).live_in
-    return SchedulingRegion(
-        instructions,
-        name,
-        live_in=set(live_in) | set(inferred),
-        live_out=live_out,
-    )
+    try:
+        return SchedulingRegion(
+            instructions,
+            name,
+            live_in=set(live_in) | set(inferred),
+            live_out=live_out,
+        )
+    except IRError as exc:
+        # A live-out register that is neither defined nor live-in.
+        raise ParseError(str(exc), live_out_line) from None

@@ -86,10 +86,14 @@ class RegionDeviceData:
                 if ci >= 0:
                     self.defs_per_class[inst.index, ci] += 1
 
-        # Dependence structure.
-        self.succ_ids = _pad_lists([[s for s, _l in ddg.successors[i]] for i in range(n)])
+        # Dependence structure. Successor rows are padded with the sentinel
+        # instruction ``n``, which also has a row of its own: it has no
+        # successors (see the touched-slot tables below).
+        self.succ_ids = _pad_lists(
+            [[s for s, _l in ddg.successors[i]] for i in range(n)] + [[]], pad_value=n
+        )
         self.succ_lat = _pad_lists(
-            [[l for _s, l in ddg.successors[i]] for i in range(n)], pad_value=0
+            [[l for _s, l in ddg.successors[i]] for i in range(n)] + [[]], pad_value=0
         )
         self.pred_count = np.array(ddg.num_predecessors, dtype=np.int32)
         self.succ_count = np.array([len(ddg.successors[i]) for i in range(n)], dtype=np.int32)
@@ -140,14 +144,66 @@ class RegionDeviceData:
         self.user_ids = np.array(
             [i for users in readers for i in users], dtype=np.int32
         )
+        # The closing counts a last-use flip of each register moves: each
+        # reader's in the all-class plane (index num_classes) and, for a
+        # constrained class, in the class's plane. CSR by register
+        # (flip_ptr/flip_count) over (flip_plane, flip_user) pairs.
+        flips = [
+            [
+                (plane, user)
+                for plane in (self.num_classes, self.reg_class[reg])
+                if plane >= 0
+                for user in users
+            ]
+            for reg, users in enumerate(readers)
+        ]
+        self.flip_count = np.array([len(f) for f in flips], dtype=np.int64)
+        self.flip_ptr = np.cumsum(self.flip_count) - self.flip_count
+        pairs = np.array([p for f in flips for p in f], dtype=np.int64).reshape(-1, 2)
+        self.flip_plane, self.flip_user = pairs.T
         # touched[i]: the distinct registers instruction i reads or writes
-        # (the only ones whose last-use state it can flip).
+        # (the only ones its issue can change), padded with the sentinel
+        # register ``num_registers``. touched_flags[i, f] says what i does
+        # to each: reads, defines, redefines (both), or whether the
+        # register is live-out; the class one-hot turns per-slot +-1s into
+        # per-class pressure deltas. The sentinel register is never read or
+        # defined, counts as live-out and has no class, so a padding slot
+        # changes nothing in any update. Row ``n`` is the sentinel
+        # instruction, all padding: lanes that issue nothing in a step
+        # "issue" it, so the step needs no lane mask either.
+        sentinel = self.num_registers
         self.touched = _pad_lists(
             [
                 list(dict.fromkeys(self.reg_index[r] for r in inst.uses + inst.defs))
                 for inst in region
             ]
+            + [[]],
+            pad_value=sentinel,
         )
+        width = self.touched.shape[1]
+        self.touched_flags = np.zeros((4, n + 1, width), dtype=bool)
+        self.touched_class = np.zeros((n + 1, width, self.num_classes), dtype=np.int32)
+        for inst in region:
+            # Instruction rejects duplicate defs and uses, so plain flags
+            # (not counts) describe each slot.
+            assert len(set(inst.uses)) == len(inst.uses)
+            assert len(set(inst.defs)) == len(inst.defs)
+            use_ids = {self.reg_index[r] for r in inst.uses}
+            def_ids = {self.reg_index[r] for r in inst.defs}
+            for slot, reg in enumerate(self.touched[inst.index]):
+                if reg == sentinel:
+                    break
+                self.touched_flags[:2, inst.index, slot] = (reg in use_ids, reg in def_ids)
+                if self.reg_class[reg] >= 0:
+                    self.touched_class[inst.index, slot, self.reg_class[reg]] = 1
+        (
+            self.touched_reads,
+            self.touched_defines,
+            self.touched_redefines,
+            self.touched_live_out,
+        ) = self.touched_flags
+        self.touched_redefines[:] = self.touched_reads & self.touched_defines
+        self.touched_live_out[:] = np.append(self.live_out_mask, True)[self.touched]
         # Counts at the start of construction (live-ins are the live set):
         # one plane per class, then a plane over all registers.
         live_in = np.zeros(self.num_registers, dtype=bool)
@@ -171,13 +227,15 @@ class RegionDeviceData:
     # -- transfer accounting ------------------------------------------------
 
     def device_arrays(self):
-        """The arrays copied host->device (for transfer accounting)."""
+        """The arrays copied host->device (for transfer accounting). The
+        sentinel instruction's rows are host-side padding, not region data."""
+        n = self.num_instructions
         return (
             self.reg_class,
             self.uses,
             self.defs,
-            self.succ_ids,
-            self.succ_lat,
+            self.succ_ids[:n],
+            self.succ_lat[:n],
             self.pred_count,
             self.succ_count,
             self.roots,

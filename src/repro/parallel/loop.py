@@ -189,10 +189,8 @@ class LoopColony(VectorizedColony):
                     if cls >= 0:
                         self.current[ant, cls] -= 1
 
-            for slot in range(d.succ_ids.shape[1]):
+            for slot in range(int(d.succ_count[pick])):
                 s = int(d.succ_ids[pick, slot])
-                if s < 0:
-                    continue
                 release = cycle + int(d.succ_lat[pick, slot])
                 if release > self.earliest[ant, s]:
                     self.earliest[ant, s] = release

@@ -62,6 +62,14 @@ _UPDATE_OPS_PER_SUCCESSOR = 2.0
 _STALL_PATH_OPS = 4.0
 _STATE_WORDS_BASE = 4.0
 
+#: Start value of the sentinel instruction's predecessor counter: each
+#: step decrements it at most once per ant, and no iteration comes near
+#: 2**31 steps, so it never reaches 0 and the sentinel is never released.
+_SENTINEL_PREDS = np.iinfo(np.int32).max
+
+_PLUS = np.int32(1)
+_MINUS = np.int32(-1)
+
 
 @dataclass
 class ColonyIterationResult:
@@ -113,14 +121,19 @@ class VectorizedColony:
         self._ants = np.arange(a)
         self._max_stalls = max(1, int(np.ceil(params.optional_stall_budget * d.num_instructions)))
 
-        # Persistent per-ant state (reset each iteration).
+        # Persistent per-ant state (reset each iteration). The register and
+        # instruction state carries one sentinel column (register
+        # ``num_registers``, instruction ``n``) that the padding slots of
+        # the touched and successor tables point at; the public names are
+        # views over the real columns.
+        n, r = d.num_instructions, d.num_registers
         self.avail_ids = np.zeros((a, d.ready_capacity), dtype=np.int32)
         self.avail_release = np.zeros((a, d.ready_capacity), dtype=np.int32)
         self.avail_len = np.zeros(a, dtype=np.int32)
-        self.pred_remaining = np.zeros((a, d.num_instructions), dtype=np.int32)
-        self.earliest = np.zeros((a, d.num_instructions), dtype=np.int32)
-        self.remaining_uses = np.zeros((a, d.num_registers), dtype=np.int32)
-        self.live = np.zeros((a, d.num_registers), dtype=bool)
+        self.pred_remaining_pad = np.zeros((a, n + 1), dtype=np.int32)
+        self.earliest_pad = np.zeros((a, n + 1), dtype=np.int32)
+        self.remaining_uses_pad = np.zeros((a, r + 1), dtype=np.int32)
+        self.live_pad = np.zeros((a, r + 1), dtype=bool)
         self.current = np.zeros((a, d.num_classes), dtype=np.int32)
         self.peak = np.zeros((a, d.num_classes), dtype=np.int32)
         self.order_buf = np.full((a, d.num_instructions), -1, dtype=np.int32)
@@ -133,12 +146,20 @@ class VectorizedColony:
         #: closing[c, a, i]: registers of class ``c`` that instruction ``i``
         #: would close if ant ``a`` issued it now; plane ``-1`` counts every
         #: class. Exact for every instruction; only unscheduled ones are read.
-        self.closing = (
-            np.zeros((d.num_classes + 1, a, d.num_instructions), dtype=np.int32)
-            if self.maintains_closing
-            else None
-        )
+        self.closing = None
+        if self.maintains_closing:
+            self.closing = np.zeros((d.num_classes + 1, a, n), dtype=np.int32)
+            self._closing_flat = self.closing.reshape(-1)
+            self._flip_targets = d.flip_plane * (a * n) + d.flip_user
         self._row_base = (self._ants * d.num_instructions)[:, None]
+        # Flat offsets of each ant's row in the padded state buffers (the
+        # available list's minus one: insertion positions count from 1).
+        self._inst_rows = (self._ants * (n + 1))[:, None]
+        self._reg_rows = (self._ants * (r + 1))[:, None]
+        self._avail_rows = (self._ants * d.ready_capacity - 1)[:, None]
+        # Reset rows (sentinel columns last).
+        self._initial_preds = np.append(d.pred_count, _SENTINEL_PREDS)
+        self._initial_uses = np.append(d.total_use_counts, 0)
 
         # Static per-launch assignments.
         self.heuristic_of_wavefront = policy.heuristic_assignment(2)
@@ -170,12 +191,25 @@ class VectorizedColony:
             # plain numpy would silently wrap to the last element).
             self.avail_ids = checked(self.avail_ids, "avail_ids")
             self.avail_release = checked(self.avail_release, "avail_release")
-            self.pred_remaining = checked(self.pred_remaining, "pred_remaining")
-            self.earliest = checked(self.earliest, "earliest")
-            self.remaining_uses = checked(self.remaining_uses, "remaining_uses")
-            self.live = checked(self.live, "live")
+            self.pred_remaining_pad = checked(self.pred_remaining_pad, "pred_remaining")
+            self.earliest_pad = checked(self.earliest_pad, "earliest")
+            self.remaining_uses_pad = checked(self.remaining_uses_pad, "remaining_uses")
+            self.live_pad = checked(self.live_pad, "live")
             self.order_buf = checked(self.order_buf, "order_buf")
             self.cycles_buf = checked(self.cycles_buf, "cycles_buf")
+        self.pred_remaining = self.pred_remaining_pad[:, :n]
+        self.earliest = self.earliest_pad[:, :n]
+        self.remaining_uses = self.remaining_uses_pad[:, :r]
+        self.live = self.live_pad[:, :r]
+        # Flat views the step gathers from and scatters to (checked too in
+        # sanitize mode: they view the same wrapped buffers).
+        self._preds_flat = self.pred_remaining_pad.reshape(-1)
+        self._earliest_flat = self.earliest_pad.reshape(-1)
+        self._uses_flat = self.remaining_uses_pad.reshape(-1)
+        self._live_flat = self.live_pad.reshape(-1)
+        self._avail_ids_flat = self.avail_ids.reshape(-1)
+        self._avail_release_flat = self.avail_release.reshape(-1)
+        if self.sanitizer is not None:
             self.sanitizer.audit_layout(self)
 
     # -- per-iteration reset ---------------------------------------------------
@@ -187,10 +221,10 @@ class VectorizedColony:
         roots = d.roots
         self.avail_ids[:, : len(roots)] = roots[None, :]
         self.avail_len[:] = len(roots)
-        self.pred_remaining[:] = d.pred_count[None, :]
-        self.earliest[:] = 0
-        self.remaining_uses[:] = d.total_use_counts[None, :]
-        self.live[:] = False
+        self.pred_remaining_pad[:] = self._initial_preds
+        self.earliest_pad[:] = 0
+        self.remaining_uses_pad[:] = self._initial_uses
+        self.live_pad[:] = False
         if len(d.live_in_ids):
             self.live[:, d.live_in_ids] = True
         self.current[:] = 0
@@ -286,120 +320,86 @@ class VectorizedColony:
     # -- state mutation ------------------------------------------------------------
 
     def _schedule_chosen(self, doers: np.ndarray, chosen: np.ndarray, cycle: int) -> None:
-        """Apply the scheduling of ``chosen`` for ants where ``doers``."""
+        """Apply the scheduling of ``chosen`` for ants where ``doers``.
+
+        The register and successor updates run on every lane: the others
+        issue the sentinel instruction, whose slots all name sentinel
+        columns and change nothing. Each is one gather, a few ops on the
+        ``(ants, slots)`` block and one scatter.
+        """
+        if not doers.any():  # an all-stall cycle of pass 2
+            return
         d = self.data
         ants = self._ants[doers]
         picks = chosen[doers]
         self.order_buf[ants, self.scheduled[ants]] = picks
         self.cycles_buf[ants, picks] = cycle
-        self.scheduled[ants] += 1
+        self.scheduled += doers
         self.prev_inst[ants] = picks
+        rows = np.where(doers, chosen, d.num_instructions)
+
+        # Registers: kill-before-def, fresh defs, the peak sample, then
+        # dead defs (no uses, not live-out) — mirrors rp.tracker semantics.
+        touched = np.take(d.touched, rows, axis=0)
+        reads, defines, redefines, kept = np.take(d.touched_flags, rows, axis=1)
+        at = self._reg_rows + touched
+        left = self._uses_flat[at]
+        live = self._live_flat[at]
+        was_last = (left == 1) & live & ~kept
+        left -= reads
+        closed = (left == 0) & ~kept
+        kill = closed & live & (reads ^ redefines)  # read, not redefined
+        live &= ~kill
+        fresh = defines & ~live
+        dead = closed & defines
+        # Per-class deltas: (ants, 1, slots) @ (ants, slots, classes).
+        classes = np.take(d.touched_class, rows, axis=0)
+        self.current += (np.subtract(fresh, kill, dtype=np.int32)[:, None, :] @ classes)[:, 0]
+        np.maximum(self.peak, self.current, out=self.peak)
+        self.current -= (dead[:, None, :] @ classes)[:, 0]
+        live = (live | defines) & ~dead
+        self._uses_flat[at] = left
+        self._live_flat[at] = live
         if self.closing is not None:
-            touched = d.touched[picks]
-            present = touched >= 0
-            touched = np.where(present, touched, 0)
-            was_last = self._last_use(ants[:, None], touched) & present
+            is_last = (left == 1) & live & ~kept
+            self._flip_closing(touched, was_last, is_last)
 
-        # Kill-before-def pressure update (mirrors rp.tracker semantics).
-        for slot in range(d.uses.shape[1]):
-            u = d.uses[picks, slot]
-            m = u >= 0
-            au, uu = ants[m], u[m]
-            self.remaining_uses[au, uu] -= 1
-            kill = (
-                (self.remaining_uses[au, uu] == 0)
-                & ~d.live_out_mask[uu]
-                & ~d.uses_redefined[picks[m], slot]
-                & self.live[au, uu]
-            )
-            ak, uk = au[kill], uu[kill]
-            self.live[ak, uk] = False
-            cls = d.reg_class[uk]
-            cm = cls >= 0
-            self.current[ak[cm], cls[cm]] -= 1
-        for slot in range(d.defs.shape[1]):
-            dd = d.defs[picks, slot]
-            m = dd >= 0
-            ad, rd = ants[m], dd[m]
-            fresh = ~self.live[ad, rd]
-            af, rf = ad[fresh], rd[fresh]
-            self.live[af, rf] = True
-            cls = d.reg_class[rf]
-            cm = cls >= 0
-            self.current[af[cm], cls[cm]] += 1
-        self.peak[ants] = np.maximum(self.peak[ants], self.current[ants])
-        # Dead defs (no uses, not live-out) die right after the peak sample.
-        for slot in range(d.defs.shape[1]):
-            dd = d.defs[picks, slot]
-            m = (dd >= 0)
-            ad, rd = ants[m], dd[m]
-            dead_def = (
-                (self.remaining_uses[ad, rd] == 0)
-                & ~d.live_out_mask[rd]
-                & self.live[ad, rd]
-            )
-            ax, rx = ad[dead_def], rd[dead_def]
-            self.live[ax, rx] = False
-            cls = d.reg_class[rx]
-            cm = cls >= 0
-            self.current[ax[cm], cls[cm]] -= 1
-        if self.closing is not None:
-            is_last = self._last_use(ants[:, None], touched) & present
-            self._flip_closing(ants, touched, was_last, is_last)
-
-        # Release successors into the available list.
-        for slot in range(d.succ_ids.shape[1]):
-            s = d.succ_ids[picks, slot]
-            m = s >= 0
-            asucc, ss = ants[m], s[m]
-            release = cycle + d.succ_lat[picks[m], slot]
-            self.earliest[asucc, ss] = np.maximum(self.earliest[asucc, ss], release)
-            self.pred_remaining[asucc, ss] -= 1
-            newly = self.pred_remaining[asucc, ss] == 0
-            an, sn = asucc[newly], ss[newly]
-            pos = self.avail_len[an]
-            self.avail_ids[an, pos] = sn
-            self.avail_release[an, pos] = self.earliest[an, sn]
-            self.avail_len[an] += 1
-
-    def _last_use(self, ants: np.ndarray, regs: np.ndarray) -> np.ndarray:
-        """Whether each ``(ant, register)`` is in its last-use state."""
-        return (
-            (self.remaining_uses[ants, regs] == 1)
-            & self.live[ants, regs]
-            & ~self.data.live_out_mask[regs]
-        )
+        # Release successors into the available list, each ant's in slot
+        # order (successors are distinct, so one scatter suffices).
+        succ = np.take(d.succ_ids, rows, axis=0)
+        at = self._inst_rows + succ
+        release = np.maximum(self._earliest_flat[at], cycle + np.take(d.succ_lat, rows, axis=0))
+        preds = self._preds_flat[at] - 1
+        self._earliest_flat[at] = release
+        self._preds_flat[at] = preds
+        newly = preds == 0
+        pos = self.avail_len[:, None] + np.cumsum(newly, axis=1, dtype=np.int32)
+        self.avail_len[:] = pos[:, pos.shape[1] - 1]
+        slots = (self._avail_rows + pos)[newly]
+        self._avail_ids_flat[slots] = succ[newly]
+        self._avail_release_flat[slots] = release[newly]
 
     def _flip_closing(
-        self,
-        ants: np.ndarray,
-        touched: np.ndarray,
-        was_last: np.ndarray,
-        is_last: np.ndarray,
+        self, touched: np.ndarray, was_last: np.ndarray, is_last: np.ndarray
     ) -> None:
         """Add +-1 to the closing count of every reader of each register
-        whose last-use state flipped (``touched`` rows are per ant in
-        ``ants``, each register at most once per row)."""
-        d = self.data
-        rows, cols = np.nonzero(was_last != is_last)
-        if not rows.size:
+        whose last-use state flipped (``touched`` has one row per ant, each
+        register at most once per row)."""
+        flipped = np.flatnonzero(was_last != is_last)
+        if not flipped.size:
             return
-        regs = touched[rows, cols]
-        begin = d.user_ptr[regs]
-        count = d.user_ptr[regs + 1] - begin
-        offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-        users = d.user_ids[np.repeat(begin, count) + offset]
-        lanes = np.repeat(ants[rows], count)
-        classes = np.repeat(d.reg_class[regs], count)
-        delta = np.repeat(np.where(is_last[rows, cols], 1, -1), count)
+        regs = touched.ravel()[flipped]
+        d = self.data
+        begin = d.flip_ptr[regs]
+        count = d.flip_count[regs]
+        ends = np.cumsum(count)
+        at = np.arange(ends[-1]) + np.repeat(begin - ends + count, count)
+        rows = flipped // touched.shape[1] * d.num_instructions
+        targets = self._flip_targets[at] + np.repeat(rows, count)
+        sign = np.where(is_last.ravel()[flipped], _PLUS, _MINUS)
         # Two flipped registers of one ant may share a reader: accumulate.
-        np.add.at(self.closing[-1], (lanes, users), delta)
-        constrained = classes >= 0
-        np.add.at(
-            self.closing,
-            (classes[constrained], lanes[constrained], users[constrained]),
-            delta[constrained],
-        )
+        # Flat indices and int32 deltas keep ufunc.at on its fast path.
+        np.add.at(self._closing_flat, targets, np.repeat(sign, count))
 
     def _remove_from_avail(self, doers: np.ndarray, sel: np.ndarray) -> np.ndarray:
         """Swap-remove the selected column; returns the chosen instruction ids."""

@@ -5,6 +5,7 @@ One home for the generators every property-based test draws from
 
 * :func:`make_region` — a deterministic generated region from a pattern
   name, seed and size (also usable outside hypothesis, e.g. for goldens);
+* :func:`accumulate_region` — a pinned hand-built non-SSA region;
 * :func:`regions` — a hypothesis strategy over generated regions;
 * :func:`ddgs` — a hypothesis strategy over their dependence graphs;
 * :func:`medium_regions` — the differential/seed-sweep sizing (large
@@ -21,12 +22,36 @@ import random
 from hypothesis import strategies as st
 
 from repro.ddg import DDG
+from repro.ir.builder import RegionBuilder
 from repro.suite.patterns import PATTERN_NAMES, pattern_region
 
 
 def make_region(pattern: str, seed: int, size: int):
     """Deterministic generated region (used by strategies and tests)."""
     return pattern_region(pattern, random.Random(seed), size)
+
+
+def accumulate_region():
+    """A hand-built non-SSA region for the differential goldens: the
+    generated suite reads and redefines no register in one instruction.
+    Two accumulators are updated in place, a live-in SGPR is read and
+    redefined, dead defs (no uses, not live-out) occur in both register
+    classes, and v7's last reader redefines it with a dead value (so it
+    may close v7 in neither engine's count)."""
+    b = RegionBuilder("accumulate")
+    b.inst("v_mov", defs=["v0"])
+    b.inst("v_mov", defs=["v4"])
+    for k in range(3):
+        b.inst("global_load", defs=["v%d" % (10 + k)], uses=["s0"])
+        b.inst("v_fma_f32", defs=["v0"], uses=["v0", "v%d" % (10 + k)])
+        b.inst("v_mul_f32", defs=["v4", "v%d" % (20 + k)], uses=["v4", "v%d" % (10 + k)])
+    b.inst("global_load", defs=["v7"], uses=["s0"])
+    b.inst("v_mul_f32", defs=["v8"], uses=["v7"])
+    b.inst("v_add", defs=["v7"], uses=["v7", "v8"])
+    b.inst("s_add", defs=["s0"], uses=["s0", "s1"])
+    b.inst("s_mov", defs=["s2"])
+    b.inst("v_add", defs=["v5"], uses=["v0", "v4"])
+    return b.live_out("v5", "s0").build()
 
 
 @st.composite

@@ -214,6 +214,55 @@ class TestFaultInjection:
         with pytest.raises(SanitizerError, match="capacity"):
             colony.sanitizer.audit_layout(fake)
 
+    def test_padding_slot_naming_a_real_register(self, fig1_ddg, vega):
+        """Mutation: touched-register padding points at register 0 instead
+        of the sentinel, so the step would write a real register."""
+        data = RegionDeviceData(fig1_ddg, vega)
+        padding = data.touched == data.num_registers
+        assert padding.any()
+        data.touched[padding] = 0
+        policy = DivergencePolicy.from_params(GPUParams(blocks=1))
+        with pytest.raises(SanitizerError, match="names a real register"):
+            Colony(
+                data, ACOParams(), policy,
+                KernelAccounting(GPUDevice(), policy.num_wavefronts, coalesced=True),
+                np.random.default_rng(0), sanitizer=ColonySanitizer(),
+            )
+
+    def test_successor_padding_naming_a_real_instruction(self, fig1_ddg, vega):
+        colony, data, _ = _make_colony(fig1_ddg, vega)
+        padding = data.succ_ids == data.num_instructions
+        data.succ_ids[padding] = 0
+        with pytest.raises(SanitizerError, match="real instruction"):
+            colony.sanitizer.audit_layout(colony)
+
+    def test_unchecked_padded_buffer(self, fig1_ddg, vega):
+        colony, _, _ = _make_colony(fig1_ddg, vega)
+        colony.live_pad = np.asarray(colony.live_pad)
+        with pytest.raises(SanitizerError, match="live_pad is not behind"):
+            colony.sanitizer.audit_layout(colony)
+
+    def test_sentinel_register_live(self, fig1_ddg, vega):
+        colony, _, _ = _make_colony(fig1_ddg, vega)
+        colony._reset()
+        np.asarray(colony.live_pad)[3, -1] = True
+        with pytest.raises(SanitizerError, match="sentinel register"):
+            colony.sanitizer.check_step(colony)
+
+    def test_sentinel_counter_counted_down(self, fig1_ddg, vega):
+        colony, _, _ = _make_colony(fig1_ddg, vega)
+        colony._reset()
+        np.asarray(colony.pred_remaining_pad)[0, -1] = 1
+        with pytest.raises(SanitizerError, match="predecessor counter fell"):
+            colony.sanitizer.check_step(colony)
+
+    def test_sentinel_in_available_list(self, fig1_ddg, vega):
+        colony, data, _ = _make_colony(fig1_ddg, vega)
+        colony._reset()
+        np.asarray(colony.avail_ids)[0, 0] = data.num_instructions
+        with pytest.raises(SanitizerError, match="sentinel instruction"):
+            colony.sanitizer.check_step(colony)
+
     def test_uninitialized_slot_read_caught_live(self, fig1_ddg, vega):
         """The CheckedArray wrapping catches a computed -1 index on the
         colony's own state arrays."""
@@ -236,6 +285,18 @@ class TestClosingCounts:
         colony, data, params = _make_colony(
             ddg, vega, blocks=2, seed=5, heuristic_diversity=True
         )
+        tau = PheromoneTable(data.num_instructions, params).tau
+        colony.run_rp_iteration(tau)
+        colony.run_ilp_iteration(tau, {}, max_length=4 * data.num_instructions)
+        assert colony.sanitizer.steps_checked > data.num_instructions
+
+    def test_clean_run_on_a_redefining_last_reader(self, vega):
+        """The pinned non-SSA region: a register whose last reader
+        redefines it must not count as closed by that reader."""
+        from strategies import accumulate_region
+
+        ddg = DDG(accumulate_region())
+        colony, data, params = _make_colony(ddg, vega, seed=5)
         tau = PheromoneTable(data.num_instructions, params).tau
         colony.run_rp_iteration(tau)
         colony.run_ilp_iteration(tau, {}, max_length=4 * data.num_instructions)

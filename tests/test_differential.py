@@ -30,7 +30,7 @@ from repro.parallel import ParallelACOScheduler
 from repro.rp.liveness import peak_pressure
 from repro.schedule.validate import validate_schedule
 from repro.telemetry import MemorySink, Telemetry
-from strategies import make_region, medium_regions
+from strategies import accumulate_region, make_region, medium_regions
 
 #: One wavefront keeps the scalar reference backend fast enough for
 #: hypothesis; the engines' equivalence is geometry-independent (the
@@ -188,13 +188,31 @@ class TestBackendPairs:
             assert {r["backend"] for r in launches} == {backend}
 
 
+class TestPinnedNonSSARegion:
+    """The generated goldens never read and redefine a register in one
+    instruction; this pinned region does, and has dead defs too."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_bit_identical(self, backend_pair, strategy):
+        a, b = backend_pair
+        _assert_bit_identical(a, b, DDG(accumulate_region()), seed=11, strategy=strategy)
+
+    def test_ant_states_identical(self, backend_pair):
+        a, b = backend_pair
+        ddg = DDG(accumulate_region())
+        states_a = TestEveryAntAgrees._ant_states(a, ddg, 3)
+        states_b = TestEveryAntAgrees._ant_states(b, ddg, 3)
+        for state_a, state_b in zip(states_a, states_b):
+            assert (state_a == state_b).all()
+
+
 class TestEveryAntAgrees:
     """Stronger than comparing shipped schedules: after one pass-1 and one
     pass-2 iteration every ant's order, cycles and peak agree, so a
     decision primitive that drifts only for losing ants is caught too."""
 
     @staticmethod
-    def _ant_states(backend, ddg, seed):
+    def _ant_states(backend, ddg, seed, gpu=GPU):
         from repro.aco import PheromoneTable
         from repro.config import ACOParams
         from repro.gpusim import GPUDevice, KernelAccounting
@@ -202,7 +220,7 @@ class TestEveryAntAgrees:
         from repro.parallel.colony import resolve_backend
 
         params = ACOParams()
-        policy = DivergencePolicy.from_params(GPU)
+        policy = DivergencePolicy.from_params(gpu)
         data = RegionDeviceData(ddg, amd_vega20())
         colony = resolve_backend(backend)(
             data, params, policy,
@@ -225,6 +243,39 @@ class TestEveryAntAgrees:
         ddg = DDG(make_region(*spec))
         for state_a, state_b in zip(self._ant_states(a, ddg, 3), self._ant_states(b, ddg, 3)):
             assert (state_a == state_b).all()
+
+
+#: The widest geometry any test reaches: 30 blocks of 64 threads.
+WIDE_GPU = GPUParams(blocks=30, heuristic_diversity=True)
+
+
+@pytest.mark.slow
+class TestWideGeometry:
+    """Loop vs. vectorized at 1,920 ants on two pinned small regions:
+    every ant's state after one iteration of each pass, then the shipped
+    schedule. At this width each wavefront-indexed table (heuristic
+    assignment, stall lanes) spans 30 wavefronts."""
+
+    @pytest.mark.parametrize(
+        "region", [lambda: make_region("select", 1, 10), accumulate_region],
+        ids=["select-10", "accumulate"],
+    )
+    def test_loop_and_vectorized_bit_identical(self, region):
+        ddg = DDG(region())
+        states = [
+            TestEveryAntAgrees._ant_states(backend, ddg, 3, gpu=WIDE_GPU)
+            for backend in ("loop", "vectorized")
+        ]
+        assert states[0][0].shape[0] == 1920
+        for state_a, state_b in zip(*states):
+            assert (state_a == state_b).all()
+        shipped = [
+            ParallelACOScheduler(amd_vega20(), gpu_params=WIDE_GPU, backend=backend)
+            .schedule(ddg, seed=5)
+            for backend in ("loop", "vectorized")
+        ]
+        assert shipped[0].pass2.invoked
+        assert _fingerprint(shipped[0]) == _fingerprint(shipped[1])
 
 
 class TestCostModelsDiffer:

@@ -2,13 +2,14 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ParseError
 from repro.ir import format_region, format_schedule, parse_region
 from repro.ir.builder import figure1_region
 from repro.schedule import Schedule
 
-from conftest import regions
+from conftest import make_region, regions
 
 
 class TestFormatRegion:
@@ -81,6 +82,72 @@ class TestParseRegion:
     @settings(max_examples=40)
     def test_roundtrip_property(self, region):
         assert parse_region(format_region(region)) == region
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("region t\na: op1 defs(v0,v0)\nend", 2),  # duplicate def
+            ("region t\nlive_in: v1\na: op1 uses(v1,v1)\nend", 3),  # duplicate use
+            ("region t\nlive_out: v0\nlive_out: v9\na: op1 defs(v0)\nend", 2),
+            ("region t\na: op1 lat=%s\nend" % ("9" * 5000), 2),  # too long for int()
+        ],
+        ids=["duplicate-def", "duplicate-use", "undefined-live-out", "huge-latency"],
+    )
+    def test_ir_errors_become_parse_errors(self, text, line):
+        with pytest.raises(ParseError) as info:
+            parse_region(text)
+        assert info.value.line == line
+
+
+#: A printed suite region, the seed of the mutation fuzz.
+_FUZZ_SEED_TEXT = format_region(make_region("stencil", 8, 8))
+
+#: What a mutation inserts: tokens of the format, near-miss spellings,
+#: duplicate operands, undefined live-outs, an over-long number.
+_FRAGMENTS = (
+    "v0", "v1", "s1", "s0", ",", "(", ")", "defs(", "uses(", " lat=", "7",
+    "\n", " ", "#", "end", ":", "region r", "live_out: v9", "live_in: s7",
+    "v1,v1", "x", "9" * 5000,
+)
+_LINES = (
+    "live_out: v9", "live_in: v1", "i9: v_add defs(v3,v3)",
+    "i9: v_add defs(v3) uses(v1,v1)", "i9: s_mov defs(s4) lat=" + "9" * 5000,
+)
+
+
+@st.composite
+def _mutated_region_text(draw):
+    text = _FUZZ_SEED_TEXT
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("delete", "insert", "delete-line", "insert-line")))
+        if kind in ("delete", "insert"):
+            at = draw(st.integers(0, len(text)))
+            if kind == "delete":
+                text = text[:at] + text[at + draw(st.integers(1, 4)):]
+            else:
+                text = text[:at] + draw(st.sampled_from(_FRAGMENTS)) + text[at:]
+            continue
+        lines = text.split("\n")
+        at = draw(st.integers(0, len(lines) - 1))
+        if kind == "delete-line":
+            del lines[at]
+        else:
+            extra = draw(st.sampled_from(lines + list(_LINES)))
+            lines.insert(at, extra)
+        text = "\n".join(lines)
+    return text
+
+
+class TestParseFuzz:
+    """parse_region's contract on bad input: a ParseError, nothing else."""
+
+    @given(_mutated_region_text())
+    @settings(max_examples=300, deadline=500)
+    def test_mutated_regions_raise_only_parse_errors(self, text):
+        try:
+            parse_region(text)
+        except ParseError:
+            pass
 
 
 class TestFormatSchedule:

@@ -9,7 +9,8 @@ from repro.ddg import DDG, TransitiveClosure
 from repro.machine import amd_vega20
 from repro.parallel import DivergencePolicy, RegionDeviceData
 
-from strategies import ddgs
+from repro.suite.patterns import PATTERN_NAMES
+from strategies import accumulate_region, ddgs, make_region
 
 
 class TestRegionDeviceData:
@@ -88,6 +89,72 @@ class TestRegionDeviceData:
             assert sorted(map(str, uses)) == sorted(map(str, inst.uses))
             defs = [data.registers[r] for r in data.defs[inst.index] if r >= 0]
             assert sorted(map(str, defs)) == sorted(map(str, inst.defs))
+
+
+class TestTouchedSlotTables:
+    """The fused step's static tables: per-(instruction, touched slot)
+    flags, class one-hots and sentinel padding, checked against the
+    region's instructions."""
+
+    @staticmethod
+    def _check(data):
+        region = data.ddg.region
+        n, r = data.num_instructions, data.num_registers
+        width = data.touched.shape[1]
+        assert data.touched.shape == (n + 1, width)
+        assert data.touched_class.shape == (n + 1, width, data.num_classes)
+        for table in (data.touched_reads, data.touched_defines,
+                      data.touched_redefines, data.touched_live_out):
+            assert table.shape == (n + 1, width) and table.dtype == bool
+        for inst in region:
+            row = data.touched[inst.index]
+            regs = [data.registers[i] for i in row if i != r]
+            assert regs == list(dict.fromkeys(inst.uses + inst.defs))
+            assert (row[len(regs):] == r).all()  # padding names the sentinel
+            for slot, reg in enumerate(regs):
+                i = inst.index
+                assert data.touched_reads[i, slot] == (reg in inst.uses)
+                assert data.touched_defines[i, slot] == (reg in inst.defs)
+                assert data.touched_redefines[i, slot] == (
+                    reg in inst.uses and reg in inst.defs
+                )
+                assert data.touched_live_out[i, slot] == (reg in region.live_out)
+                onehot = data.touched_class[i, slot]
+                if reg.reg_class in data.classes:
+                    assert onehot.tolist() == [
+                        int(cls == reg.reg_class) for cls in data.classes
+                    ]
+                else:
+                    assert not onehot.any()
+            pad = slice(len(regs), None)
+            assert not data.touched_reads[inst.index, pad].any()
+            assert not data.touched_defines[inst.index, pad].any()
+            assert data.touched_live_out[inst.index, pad].all()
+            assert not data.touched_class[inst.index, pad].any()
+            succs = [s for s, _lat in data.ddg.successors[inst.index]]
+            assert data.succ_ids[inst.index, : len(succs)].tolist() == succs
+            assert (data.succ_ids[inst.index, len(succs):] == n).all()
+        # Row n is the sentinel instruction: all padding.
+        assert (data.touched[n] == r).all() and (data.succ_ids[n] == n).all()
+        assert not (data.touched_reads[n] | data.touched_defines[n]).any()
+        assert data.touched_live_out[n].all() and not data.touched_class[n].any()
+
+    @pytest.mark.parametrize("pattern", PATTERN_NAMES)
+    def test_every_suite_pattern(self, pattern, vega):
+        for seed, size in ((0, 12), (3, 30)):
+            self._check(RegionDeviceData(DDG(make_region(pattern, seed, size)), vega))
+
+    def test_figure1_and_redefinitions(self, fig1_ddg, vega):
+        self._check(RegionDeviceData(fig1_ddg, vega))
+        data = RegionDeviceData(DDG(accumulate_region()), vega)
+        self._check(data)
+        assert data.touched_redefines.any()
+
+    def test_device_image_excludes_sentinel_row(self, fig1_ddg, vega):
+        data = RegionDeviceData(fig1_ddg, vega)
+        arrays = data.device_arrays()
+        assert any(a.shape == (7, data.succ_ids.shape[1]) for a in arrays)
+        assert not any(a.shape[0] == 8 for a in arrays if a.ndim == 2)
 
 
 class TestDivergencePolicy:
