@@ -65,7 +65,9 @@ class CheckedArray(np.ndarray):
     Negative indices are Python sugar, but in SoA kernel code a computed
     index of ``-1`` is an uninitialized-slot read that numpy would quietly
     wrap to the *last* element. The sanitizer's arrays raise instead.
-    Slices, masks and ``None`` axes pass through untouched.
+    Slices, masks and ``None`` axes pass through untouched. Views and
+    gathers stay checked; arithmetic results do not (see
+    :meth:`__array_wrap__`).
     """
 
     _name = "array"
@@ -73,6 +75,15 @@ class CheckedArray(np.ndarray):
     def __array_finalize__(self, obj):
         if obj is not None:
             self._name = getattr(obj, "_name", "array")
+
+    def __array_wrap__(self, array, context=None, return_scalar=False):
+        """Ufunc and accumulate results are new values, not colony state:
+        return them as plain ndarrays (an in-place ufunc keeps its target)."""
+        if array is self:
+            return self
+        if return_scalar:
+            return array[()]
+        return array.view(np.ndarray)
 
     def _check_key(self, key) -> None:
         parts = key if isinstance(key, tuple) else (key,)

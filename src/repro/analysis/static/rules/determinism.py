@@ -17,9 +17,9 @@ the legacy lint never covered:
   byte-stable (bench fingerprints, baselines, goldens);
 * **unordered merges** (``DET-005``): a function named like
   ``merge``/``reduce``/``combine`` iterating an unordered collection —
-  the exact hazard class that would silently break the fleet layer's
-  bit-identical shard merge, so it is policed everywhere, not just in
-  kernel paths.
+  the exact hazard class that would silently break the batch
+  scheduler's bit-identical shard merge, so it is policed everywhere,
+  not just in kernel paths.
 """
 
 from __future__ import annotations
@@ -182,8 +182,8 @@ class UnorderedMergeRule(Rule):
     severity = "error"
     summary = "Unordered-collection iteration inside a merge/reduce/combine"
     rationale = (
-        "A merge must be a deterministic reduce: the fleet layer's "
-        "bit-identity contract (sharded result == single-device result) "
+        "A merge must be a deterministic reduce: the batch scheduler's "
+        "bit-identity contract (sharded result == one-shard result) "
         "holds only if every merge/reduce/combine walks its inputs in a "
         "stable order. Iterating a set (or a set-operation result) inside "
         "such a function makes the merged output depend on hash order — "

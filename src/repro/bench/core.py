@@ -383,77 +383,46 @@ def bench_scenarios(context: ExperimentContext) -> Dict[str, Dict[str, object]]:
 
 
 def bench_fleet(context: ExperimentContext) -> Dict[str, Dict[str, object]]:
-    """Fleet sharding: scaling efficiency, chaos recovery, bit-identity.
+    """Sharded batches: the merged result must not depend on the shard count.
 
-    Runs the fleet harness batch fault-free at N in {1, 2, 4} and records
-    the makespans and scaling efficiencies, then replays the pinned
-    worker-chaos sweep and records recovery statistics and the recovery
-    overhead in simulated seconds (chaotic makespan minus the fault-free
-    makespan at the same shard count). ``identical_to_single_device`` is
-    the headline gate: every fleet merge — fault-free or chaotic — must
-    be bit-identical to the single-device run.
+    Schedules one small four-region batch on one shard, then on 2 and 4
+    shards. ``identical_to_single_device`` is 1 only when every sharded
+    :class:`~repro.parallel.multi_region.BatchResult` equals the one-shard
+    result field for field.
 
     Isolated under an inert profiler and a private telemetry session so
-    the fleet runs don't perturb the cumulative counters ``bench_profile``
+    the batch runs don't perturb the cumulative counters ``bench_profile``
     reconciles.
     """
-    from ..config import FleetParams
-    from ..fleet import FleetSupervisor
-    from ..fleet.chaos import (
-        DEFAULT_SHARDS,
-        batches_identical,
-        chaos_sweep,
-        fleet_items,
-        fleet_scheduler,
-    )
+    from ..config import ACOParams, GPUParams
+    from ..parallel.multi_region import BatchItem, MultiRegionScheduler
     from ..profile import NullProfiler, profile_session
+    from ..resilience.chaos import chaos_regions
     from ..telemetry import Telemetry, telemetry_session
 
     machine = context.machine
-    out: Dict[str, Dict[str, object]] = {}
+    items = [
+        BatchItem(ddg, seed=7 + index)
+        for index, ddg in enumerate(chaos_regions(machine, (8, 10, 12, 9)))
+    ]
+    scheduler = MultiRegionScheduler(
+        machine, params=ACOParams(max_iterations=8), gpu_params=GPUParams(blocks=8)
+    )
     with ExitStack() as stack:
         stack.enter_context(profile_session(NullProfiler()))
         stack.enter_context(telemetry_session(Telemetry(collect_metrics=False)))
-
-        items = fleet_items(machine)
-        single = fleet_scheduler(machine).schedule_batch(items)
-        out["regions"] = metric(len(items), "regions")
-        out["single_device_seconds"] = metric(single.seconds, "s", "lower")
-
-        identical = True
-        faultfree_makespans: Dict[int, float] = {}
-        for num_shards in DEFAULT_SHARDS:
-            fleet = FleetSupervisor(
-                fleet_scheduler(machine), FleetParams(num_shards=num_shards)
-            ).schedule_batch(items)
-            identical = identical and batches_identical(single, fleet.batch)
-            faultfree_makespans[num_shards] = fleet.fleet_seconds
-            out["shards%d_makespan_seconds" % num_shards] = metric(
-                fleet.fleet_seconds, "s", "lower"
-            )
-            out["shards%d_scaling_efficiency" % num_shards] = metric(
-                fleet.scaling_efficiency, "ratio", "higher"
-            )
-
-        sweep = chaos_sweep(seeds=(11, 23), machine=machine)
-        identical = identical and sweep.all_ok
-        overhead = sum(
-            max(0.0, t.fleet_seconds - faultfree_makespans[t.num_shards])
-            for t in sweep.trials
+        single = scheduler.schedule_batch(items, shards=1)
+        identical = all(
+            scheduler.schedule_batch(items, shards=shards) == single
+            for shards in (2, 4)
         )
-    out["chaos_trials"] = metric(len(sweep.trials), "runs")
-    out["worker_faults_injected"] = metric(
-        sum(sweep.faults_by_class.values()), "faults"
-    )
-    out["reassignments"] = metric(sweep.reassignments, "reassignments")
-    out["recovery_rate_pct"] = metric(
-        100.0 * sweep.recovery_rate, "pct", "higher"
-    )
-    out["chaos_recovery_overhead_seconds"] = metric(overhead, "s", "lower")
-    out["identical_to_single_device"] = metric(
-        1.0 if identical else 0.0, "bool", "higher"
-    )
-    return out
+    return {
+        "regions": metric(len(items), "regions"),
+        "single_device_seconds": metric(single.seconds, "s", "lower"),
+        "identical_to_single_device": metric(
+            1.0 if identical else 0.0, "bool", "higher"
+        ),
+    }
 
 
 def bench_profile(context: ExperimentContext) -> Dict[str, Dict[str, object]]:

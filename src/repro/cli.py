@@ -39,14 +39,6 @@ Resilience: ``--deadline SECONDS`` caps each region's scheduling budget,
 sizes the retry ladder (see :mod:`repro.resilience`). Exit codes encode
 the outcome: 0 with a warning summary when every region shipped (even
 degraded to the heuristic), 3 when any region was unrecoverable.
-
-Fleet: ``--shards N`` partitions every multi-region batch across N
-supervised shard workers (sets ``REPRO_SHARDS``; see :mod:`repro.fleet`)
-— results stay bit-identical to the single-device run, only the fleet
-makespan changes. ``--fleet-chaos SEED`` additionally injects
-deterministic worker-level faults (crash, hang, result corruption) that
-the supervisor detects and recovers from by reassigning regions (sets
-``REPRO_FLEET_CHAOS``).
 """
 
 from __future__ import annotations
@@ -179,26 +171,6 @@ def main(argv: List[str] = None) -> int:
         "instead of shipping its heuristic schedule (sets REPRO_DEGRADE=0)",
     )
     parser.add_argument(
-        "--shards",
-        metavar="N",
-        type=int,
-        default=None,
-        help="shard every multi-region batch across N supervised fleet "
-        "workers with deterministic fault recovery; results are "
-        "bit-identical to the single-device run (sets REPRO_SHARDS; see "
-        "repro.fleet)",
-    )
-    parser.add_argument(
-        "--fleet-chaos",
-        metavar="SEED",
-        type=int,
-        default=None,
-        help="inject deterministic worker-level faults (crash, hang, "
-        "result corruption) driven by SEED into the shard fleet; the "
-        "supervisor detects and recovers every one (sets "
-        "REPRO_FLEET_CHAOS; only meaningful with --shards)",
-    )
-    parser.add_argument(
         "--verify",
         action="store_true",
         help="run the scheduler sanitizer: independent verification of "
@@ -277,14 +249,6 @@ def main(argv: List[str] = None) -> int:
             os.environ["REPRO_CHAOS"] = str(args.chaos)
         if args.no_degrade:
             os.environ["REPRO_DEGRADE"] = "0"
-
-    if args.shards is not None or args.fleet_chaos is not None:
-        import os
-
-        if args.shards is not None:
-            os.environ["REPRO_SHARDS"] = str(args.shards)
-        if args.fleet_chaos is not None:
-            os.environ["REPRO_FLEET_CHAOS"] = str(args.fleet_chaos)
 
     if args.experiment == "list":
         for name in sorted(EXPERIMENTS):

@@ -235,6 +235,23 @@ def backend_from_env() -> Optional[str]:
     return value or None
 
 
+def shards_from_env() -> int:
+    """The ``REPRO_SHARDS`` batch shard count; 1 when unset/empty.
+
+    Only a non-integer value is rejected here; the batch scheduler
+    rejects a count below 1 when it partitions the batch.
+    """
+    import os
+
+    value = os.environ.get("REPRO_SHARDS", "").strip()
+    if not value:
+        return 1
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError("REPRO_SHARDS must be an integer, got %r" % value) from None
+
+
 def replace_params(params, **changes):
     """``dataclasses.replace`` that works on any of the frozen param classes."""
     import dataclasses
@@ -335,71 +352,6 @@ class ResilienceParams:
 
 
 @dataclass(frozen=True)
-class FleetParams:
-    """Fleet sharding: how a region batch spreads over simulated workers.
-
-    Inert by default (``num_shards = 1`` keeps the historical single-device
-    batch path, byte for byte). All timing knobs are cost-model seconds —
-    like everything else in the reproduction, the fleet has no wall clock.
-    """
-
-    #: Simulated shard workers a batch is partitioned across. 1 = the
-    #: plain single-device :class:`repro.parallel.MultiRegionScheduler`
-    #: path (no supervisor, no fleet events).
-    num_shards: int = 1
-    #: Supervisor heartbeat interval in cost-model seconds: the detection
-    #: latency charged when a worker crashes or hangs mid-dispatch.
-    heartbeat_seconds: float = 2e-3
-    #: A worker whose epoch busy time exceeds this multiple of the fleet
-    #: median is flagged a straggler (telemetry + dispatch demotion).
-    straggler_factor: float = 2.0
-    #: Restarts granted to a dead worker before it stays dead.
-    max_worker_restarts: int = 1
-    #: Cost-model seconds a restarted worker spends coming back.
-    backoff_seconds: float = 1e-3
-    #: Re-dispatches granted per region across the whole fleet before the
-    #: region falls back to serial host execution (the PR 5 ladder).
-    max_slot_redispatches: int = 4
-    #: Seed of the worker-level fault plan (crash/hang/corrupt sites);
-    #: None = fault-free fleet.
-    chaos_seed: Optional[int] = None
-
-    def validate(self) -> None:
-        if self.num_shards < 1:
-            raise ConfigError("num_shards must be >= 1")
-        if self.heartbeat_seconds <= 0.0:
-            raise ConfigError("heartbeat_seconds must be positive")
-        if self.straggler_factor < 1.0:
-            raise ConfigError("straggler_factor must be >= 1")
-        if self.max_worker_restarts < 0:
-            raise ConfigError("max_worker_restarts must be >= 0")
-        if self.backoff_seconds < 0.0:
-            raise ConfigError("backoff_seconds must be >= 0")
-        if self.max_slot_redispatches < 1:
-            raise ConfigError("max_slot_redispatches must be >= 1")
-        if self.chaos_seed is not None:
-            int(self.chaos_seed)
-
-    @classmethod
-    def from_env(cls) -> "FleetParams":
-        """Parameters from ``REPRO_SHARDS`` / ``REPRO_FLEET_CHAOS`` (each
-        optional; unset keeps the inert single-shard defaults)."""
-        import os
-
-        shards = os.environ.get("REPRO_SHARDS", "").strip()
-        chaos = os.environ.get("REPRO_FLEET_CHAOS", "").strip()
-        try:
-            return cls(
-                num_shards=int(shards) if shards else cls.num_shards,
-                chaos_seed=int(chaos) if chaos else None,
-            )
-        except ValueError as exc:
-            raise ConfigError(
-                "bad fleet environment override: %s" % exc
-            ) from None
-
-
-@dataclass(frozen=True)
 class SuiteParams:
     """Shape of the synthetic rocPRIM-like benchmark suite (Table 1)."""
 
@@ -429,7 +381,6 @@ class ReproConfig:
     filters: FilterParams = field(default_factory=FilterParams)
     suite: SuiteParams = field(default_factory=SuiteParams)
     resilience: ResilienceParams = field(default_factory=ResilienceParams)
-    fleet: FleetParams = field(default_factory=FleetParams)
 
     def validate(self, wavefront_size: int = 64) -> None:
         self.aco.validate()
@@ -437,7 +388,6 @@ class ReproConfig:
         self.filters.validate()
         self.suite.validate()
         self.resilience.validate()
-        self.fleet.validate()
 
 
 def geometric_mean(values: Sequence[float]) -> float:

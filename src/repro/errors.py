@@ -142,46 +142,6 @@ class DeviceHangError(InjectedFault):
     fault_class = "hang"
 
 
-class WorkerCrash(InjectedFault):
-    """A simulated shard worker died mid-dispatch (process loss).
-
-    Everything the worker was holding — its current region and its queued
-    regions — is gone; the fleet supervisor re-dispatches the work to the
-    surviving workers. The crash itself burns only the detection latency
-    (the supervisor's next missed heartbeat).
-    """
-
-    fault_class = "worker_crash"
-
-
-class WorkerHang(InjectedFault):
-    """A simulated shard worker stopped heartbeating (wedged, not dead).
-
-    Detected by the supervisor's cost-model-denominated heartbeat: after
-    ``heartbeat_seconds`` of silence the worker is declared hung, killed,
-    and its regions re-dispatched. The detection latency is charged to the
-    fleet's makespan.
-    """
-
-    fault_class = "worker_hang"
-
-
-class ShardResultCorrupt(InjectedFault):
-    """A shard worker returned a corrupt region result.
-
-    Detected by the supervisor's independent verification (the PR 2
-    schedule verifier) before the result can merge — never silently wrong.
-    The worker survives (corruption is per-result, not per-process); the
-    region is re-dispatched.
-    """
-
-    fault_class = "worker_corrupt"
-
-
-class FleetError(ReproError):
-    """Fleet-shard layer misuse (bad shard count, incomplete merge)."""
-
-
 class DeadlineExceeded(ResilienceError):
     """A region's deadline budget ran out before an attempt could start."""
 

@@ -49,14 +49,6 @@ from .device import GPUDevice
 #: The canonical fault taxonomy, in ladder-report order.
 FAULT_CLASSES: Tuple[str, ...] = ("launch", "corruption", "hang", "oom")
 
-#: Worker-level fault classes of the fleet shard layer (repro.fleet): a
-#: whole simulated worker dying, wedging, or returning a corrupt shard
-#: result. Sites are keyed by (worker, dispatch) instead of (region, pass,
-#: attempt) — the hazard lives in the worker process, not in the region.
-WORKER_FAULT_CLASSES: Tuple[str, ...] = (
-    "worker_crash", "worker_hang", "worker_corrupt",
-)
-
 #: Default per-site rates used when a chaos seed is given without explicit
 #: rates (the CLI's bare ``--chaos SEED``). Chosen so a small chaos sweep
 #: (a few suite compiles) exercises every class at least once while most
@@ -66,15 +58,6 @@ DEFAULT_CHAOS_RATES: Dict[str, float] = {
     "corruption": 0.12,
     "hang": 0.12,
     "oom": 0.08,
-}
-
-#: Default per-dispatch rates for the fleet's worker chaos mix (the CLI's
-#: bare ``--fleet-chaos SEED``). Low enough that a small fleet run mostly
-#: succeeds first try, high enough that a sweep exercises every class.
-DEFAULT_WORKER_CHAOS_RATES: Dict[str, float] = {
-    "worker_crash": 0.10,
-    "worker_hang": 0.10,
-    "worker_corrupt": 0.10,
 }
 
 #: Simulated seconds a hung kernel burns before the watchdog declares it
@@ -111,12 +94,11 @@ class FaultPlan:
     hang_seconds: float = DEFAULT_HANG_SECONDS
 
     def __post_init__(self):
-        known = FAULT_CLASSES + WORKER_FAULT_CLASSES
         for name, rate in self.rates.items():
-            if name not in known:
+            if name not in FAULT_CLASSES:
                 raise ConfigError(
                     "unknown fault class %r (choose from %s)"
-                    % (name, ", ".join(known))
+                    % (name, ", ".join(FAULT_CLASSES))
                 )
             if not 0.0 <= rate <= 1.0:
                 raise ConfigError("fault rate for %r must be in [0, 1]" % name)
@@ -159,31 +141,6 @@ class FaultPlan:
             return None
         draw = _site_draw(self.seed, "hang-iter", region, pass_index, attempt)
         return int(draw * 3)  # hang during iteration 0, 1 or 2
-
-    # -- worker-level sites (fleet shard layer; see repro.fleet) ------------
-
-    def worker_crashes(self, worker: int, dispatch: int) -> bool:
-        """Whether the worker's process dies at this dispatch."""
-        return self._fires("worker_crash", worker, dispatch)
-
-    def worker_hangs(self, worker: int, dispatch: int) -> bool:
-        """Whether the worker wedges (stops heartbeating) at this dispatch."""
-        return self._fires("worker_hang", worker, dispatch)
-
-    def worker_corrupts(self, worker: int, dispatch: int) -> bool:
-        """Whether the shard result this dispatch returns is corrupted."""
-        return self._fires("worker_corrupt", worker, dispatch)
-
-    @classmethod
-    def worker_plan(
-        cls, seed: int, rates: Optional[Dict[str, float]] = None
-    ) -> "FaultPlan":
-        """A plan with the default worker chaos mix, or explicit ``rates``."""
-        return cls(
-            seed=seed,
-            rates=dict(DEFAULT_WORKER_CHAOS_RATES if rates is None else rates),
-        )
-
 
 class FaultyDevice:
     """A :class:`GPUDevice` paired with a :class:`FaultPlan`.

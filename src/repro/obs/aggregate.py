@@ -315,34 +315,6 @@ class MetricsAggregator:
         self._inc("verify.checks", record["checks"])
         self._inc("verify.violations", record["violations"])
 
-    def _on_fleet_end(self, record: Dict) -> None:
-        self._inc("fleet.batches")
-        self._inc("fleet.regions", record["num_regions"])
-        self._inc("fleet.seconds", record["seconds"])
-        self._inc("fleet.reassignments", record["reassignments"])
-        recovered = record.get("recovered_regions", 0)
-        if recovered:
-            self._inc("fleet.recovered_regions", recovered)
-        self._set("fleet.shards", record["num_shards"])
-
-    def _on_shard_dispatch(self, record: Dict) -> None:
-        self._inc("fleet.dispatches")
-        self._inc("fleet.worker.%d.dispatches" % record["worker"])
-
-    def _on_worker_fault(self, record: Dict) -> None:
-        self._inc("fleet.worker_faults.total")
-        self._inc("fleet.worker_faults.%s" % record["fault_class"])
-        self._inc("fleet.worker.%d.faults" % record["worker"])
-        self._observe("fleet.fault_lost_seconds", record["seconds"])
-
-    def _on_worker_restart(self, record: Dict) -> None:
-        self._inc("fleet.restarts")
-        self._inc("fleet.backoff_seconds", record["backoff_seconds"])
-
-    def _on_straggler(self, record: Dict) -> None:
-        self._inc("fleet.stragglers")
-        self._inc("fleet.worker.%d.straggles" % record["worker"])
-
     # -- derived views ------------------------------------------------------
 
     @property
@@ -428,11 +400,6 @@ _HANDLERS = {
     "suite_end": MetricsAggregator._on_suite_end,
     "batch_end": MetricsAggregator._on_batch_end,
     "verify": MetricsAggregator._on_verify,
-    "fleet_end": MetricsAggregator._on_fleet_end,
-    "shard_dispatch": MetricsAggregator._on_shard_dispatch,
-    "worker_fault": MetricsAggregator._on_worker_fault,
-    "worker_restart": MetricsAggregator._on_worker_restart,
-    "straggler": MetricsAggregator._on_straggler,
 }
 
 

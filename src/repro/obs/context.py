@@ -39,8 +39,6 @@ __all__ = [
     "current_trace",
     "trace_scope",
     "region_trace",
-    "current_worker",
-    "worker_scope",
 ]
 
 #: Hex digits kept for a trace id / a span id.
@@ -124,33 +122,6 @@ def trace_scope(context: TraceContext) -> Iterator[TraceContext]:
         yield context
     finally:
         _STACK.pop()
-
-
-#: Ambient shard-worker identity (fleet runs only; see repro.fleet). Like
-#: the trace stack: process-wide, single-threaded, innermost wins.
-_WORKER_STACK: List[int] = []
-
-
-def current_worker() -> Optional[int]:
-    """The ambient shard worker id, or None outside a fleet dispatch."""
-    return _WORKER_STACK[-1] if _WORKER_STACK else None
-
-
-@contextmanager
-def worker_scope(worker: int) -> Iterator[int]:
-    """Install a shard-worker identity for the ``with`` block.
-
-    Every telemetry event emitted inside the block is stamped with a
-    ``worker`` field (explicit fields win — the fleet's own events pass
-    theirs), so one worker's launches, iterations and faults attribute to
-    it in a flat trace. Identity only: installing a worker scope never
-    touches costs, RNG or schedules.
-    """
-    _WORKER_STACK.append(int(worker))
-    try:
-        yield int(worker)
-    finally:
-        _WORKER_STACK.pop()
 
 
 @contextmanager

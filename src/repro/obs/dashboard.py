@@ -148,38 +148,6 @@ def render_dashboard(
             )
         )
 
-    if c.get("fleet.batches"):
-        lines.append(_rule("fleet"))
-        lines.append(
-            "  shards %d  dispatches %d  reassignments %d  recovered %d  "
-            "restarts %d  stragglers %d"
-            % (
-                int(aggregator.gauges.get("fleet.shards", 0)),
-                int(c.get("fleet.dispatches", 0)),
-                int(c.get("fleet.reassignments", 0)),
-                int(c.get("fleet.recovered_regions", 0)),
-                int(c.get("fleet.restarts", 0)),
-                int(c.get("fleet.stragglers", 0)),
-            )
-        )
-        worker_ids = sorted(
-            int(name.split(".")[2])
-            for name in c
-            if name.startswith("fleet.worker.") and name.endswith(".dispatches")
-        )
-        peak = max(
-            (c.get("fleet.worker.%d.dispatches" % w, 0.0) for w in worker_ids),
-            default=0.0,
-        ) or 1.0
-        for worker in worker_ids:
-            dispatches = c.get("fleet.worker.%d.dispatches" % worker, 0.0)
-            faults = int(c.get("fleet.worker.%d.faults" % worker, 0))
-            label = "host" if worker < 0 else "w%d" % worker
-            lines.append(
-                "  %-6s dispatches %-5d faults %-4d |%s|"
-                % (label, int(dispatches), faults, _bar(dispatches / peak))
-            )
-
     slo = aggregator.slo_report()
     lines.append(_rule("SLO: %.1f%% of regions under deadline" % (100 * slo.target)))
     flag = "ok" if slo.healthy else "BREACH"

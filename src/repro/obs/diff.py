@@ -6,14 +6,9 @@ bundles through a granularity ladder — cheapest and coarsest first::
     summary-metrics   did any aggregate move at all?
     span-tree         which phase of the run forked?
     schedules         did a shipped/search schedule change?
-    shards            which fleet slot/worker/dispatch first differed?
     kernel-launches   which launch first cost differently?
     iterations        which ACO iteration first decided differently?
     rng-draws         which ant's which draw first differed?
-
-(The ``shards`` level only carries signal for bundles recorded under the
-fleet supervisor — single-device runs record no shard entries and the
-level reports identical-by-vacuity.)
 
 Every event-stream level is *bisected*: cumulative prefix digests over the
 canonical (sorted-keys JSON) records make prefix equality a monotone
@@ -48,7 +43,6 @@ LEVELS = (
     "summary-metrics",
     "span-tree",
     "schedules",
-    "shards",
     "kernel-launches",
     "iterations",
     "rng-draws",
@@ -116,8 +110,7 @@ def _event_context(event: Optional[Dict]) -> Dict:
     if not isinstance(event, dict):
         return out
     for key in ("seq", "event", "trace_id", "span_id", "region",
-                "pass_index", "iteration", "backend",
-                "worker", "slot", "dispatch"):
+                "pass_index", "iteration", "backend"):
         if key in event:
             out[key] = event[key]
     return out
@@ -314,16 +307,7 @@ def diff_loaded(a: RunBundle, b: RunBundle) -> Dict:
     levels = [
         _diff_metrics(a.metrics, b.metrics),
         _diff_spans(a.spans, b.spans),
-        _diff_event_level(
-            "schedules",
-            [s for s in a.schedules if s.get("kind") != "shard"],
-            [s for s in b.schedules if s.get("kind") != "shard"],
-        ),
-        _diff_event_level(
-            "shards",
-            [s for s in a.schedules if s.get("kind") == "shard"],
-            [s for s in b.schedules if s.get("kind") == "shard"],
-        ),
+        _diff_event_level("schedules", a.schedules, b.schedules),
         _diff_event_level(
             "kernel-launches",
             [e for e in a.events if e.get("event") == "kernel_launch"],
@@ -401,8 +385,7 @@ def render_report(report: Dict) -> str:
     if fd:
         lines.append("  first divergence [%s]:" % fd["level"])
         for key in ("region", "pass", "iteration", "trace_id", "entry_index",
-                    "index", "first_key", "path", "ant", "draw_index",
-                    "worker", "slot", "dispatch"):
+                    "index", "first_key", "path", "ant", "draw_index"):
             if fd.get(key) is not None:
                 lines.append("    %s: %s" % (key, fd[key]))
         if fd.get("a_value") is not None or fd.get("b_value") is not None:

@@ -20,29 +20,27 @@ The trade-off is ants-per-region: a region in a batch of eight gets an
 eighth of the colony, which can cost schedule quality on hard regions. The
 ``benchmarks/bench_multi_region.py`` harness measures both sides.
 
-Sharded execution (``repro.fleet``) rides on two invariants this module
-maintains:
+Sharding rests on two invariants this module keeps:
 
-* the block partition is a pure function of the batch — computed **once**
-  over all items via :func:`partition_blocks`, never per shard — so a
-  region's block count (and hence its schedule) is independent of how the
-  batch is split across workers;
-* each slot runs through one shared runner (:meth:`MultiRegionScheduler
-  .run_slot`) whose outcome depends only on ``(ddg, seed, blocks, params,
-  fault_plan, resilience)`` — never on which worker ran it or when.
+* the block partition is a pure function of the batch, computed **once**
+  over all items by :func:`partition_blocks`, so a region's block count
+  (and hence its schedule) does not depend on how the slots are sharded;
+* each slot runs through one runner (:meth:`MultiRegionScheduler.run_slot`)
+  whose outcome depends only on ``(ddg, seed, blocks, params, fault_plan,
+  resilience)``.
 
-Together they make the fleet's merged result bit-identical to the
-single-device run for any shard count. ``schedule_batch`` delegates to the
-fleet supervisor when sharding is requested (the ``fleet`` argument or the
-``REPRO_SHARDS`` environment override).
+``schedule_batch`` splits the slots round-robin into shards
+(:func:`partition_shards`), runs every shard's slots, and reassembles the
+outcomes in slot order (:func:`merge_shard_results`). By the two
+invariants the result is bit-identical for any shard count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
-from ..config import ACOParams, FleetParams, GPUParams, ResilienceParams, replace_params
+from ..config import ACOParams, GPUParams, ResilienceParams, replace_params, shards_from_env
 from ..ddg.graph import DDG
 from ..errors import GPUSimError, InjectedFault, RegionUnrecoverable
 from ..gpusim.device import GPUDevice
@@ -62,11 +60,10 @@ from .scheduler import ParallelACOResult, ParallelACOScheduler
 def partition_blocks(sizes: Sequence[int], total_blocks: int) -> List[int]:
     """Proportional-to-size split of a launch's blocks, >= 1 each.
 
-    Pure function of ``(sizes, total_blocks)`` — the fleet layer relies on
-    that: the partition is computed once over the whole batch, so every
-    shard sees the same per-region block counts the single-device run
-    would use. Remainder blocks go to the largest regions first; the
-    trim loop shrinks the smallest multi-block regions when the floor of
+    Pure function of ``(sizes, total_blocks)``, computed once over the
+    whole batch, so every shard sees the same per-region block counts.
+    Remainder blocks go to the largest regions first; the trim loop
+    shrinks the smallest multi-block regions when the floor of
     one-block-each overshoots.
     """
     if not sizes:
@@ -90,6 +87,55 @@ def partition_blocks(sizes: Sequence[int], total_blocks: int) -> List[int]:
             break
         blocks[candidates[-1]] -= 1
     return blocks
+
+
+T = TypeVar("T")
+
+
+def partition_shards(slots: Sequence[int], num_shards: int) -> List[List[int]]:
+    """Round-robin split of ``slots`` across ``num_shards`` queues.
+
+    Slot order is preserved within each queue (shard ``i`` gets
+    ``slots[i]``, ``slots[i + num_shards]``, ...). Shards beyond the slot
+    count come back empty.
+    """
+    if num_shards < 1:
+        raise GPUSimError("num_shards must be >= 1, got %d" % num_shards)
+    queues: List[List[int]] = [[] for _ in range(num_shards)]
+    for position, slot in enumerate(slots):
+        queues[position % num_shards].append(int(slot))
+    return queues
+
+
+def merge_shard_results(
+    num_slots: int, resolved: Iterable[Tuple[int, T]]
+) -> List[T]:
+    """Reduce ``(slot_index, outcome)`` pairs into slot order.
+
+    Outcomes are keyed by slot index on the way in (any arrival order) and
+    read back by an explicit ``range(num_slots)`` walk, never by iterating
+    an unordered collection (DET-005). Raises :class:`GPUSimError` on a
+    duplicate, out-of-range or missing slot: a merge that cannot account
+    for every region exactly once must not ship.
+    """
+    if num_slots < 0:
+        raise GPUSimError("num_slots must be >= 0, got %d" % num_slots)
+    by_slot: Dict[int, T] = {}
+    for slot, outcome in resolved:
+        slot = int(slot)
+        if not 0 <= slot < num_slots:
+            raise GPUSimError(
+                "merge saw out-of-range slot %d (batch has %d)" % (slot, num_slots)
+            )
+        if slot in by_slot:
+            raise GPUSimError("merge saw slot %d twice" % slot)
+        by_slot[slot] = outcome
+    missing = [index for index in range(num_slots) if index not in by_slot]
+    if missing:
+        raise GPUSimError(
+            "merge missing slot(s): %s" % ", ".join(str(i) for i in missing)
+        )
+    return [by_slot[index] for index in range(num_slots)]
 
 
 @dataclass
@@ -235,25 +281,12 @@ class MultiRegionScheduler:
         faults/retries/downgrades correlate under that slot's trace id.
 
         The outcome is a pure function of ``(ddg, seed, blocks, params,
-        fault_plan, resilience)`` — region-level fault sites are keyed by
-        (region, pass, attempt), never by caller identity — which is the
-        contract the fleet layer's re-dispatch correctness rests on: any
-        worker (or the serial host fallback) re-running a slot reproduces
-        it bit-identically.
+        fault_plan, resilience)`` (region-level fault sites are keyed by
+        region, pass and attempt), so a slot's result does not depend on
+        which shard runs it or when.
         """
         with region_trace(item.ddg.region.name, item.ddg.num_instructions, item.seed):
             return self._run_slot_traced(item, blocks, fault_plan, resilience)
-
-    # Backward-compatible alias for the pre-fleet internal API.
-    def _region_result(
-        self,
-        item: BatchItem,
-        blocks: int,
-        fault_plan: Optional[FaultPlan] = None,
-        resilience: Optional[ResilienceParams] = None,
-    ) -> Tuple[Optional[ACOResult], Optional[str]]:
-        outcome = self.run_slot(item, blocks, fault_plan=fault_plan, resilience=resilience)
-        return outcome.result, outcome.error
 
     def _run_slot_traced(
         self,
@@ -355,31 +388,26 @@ class MultiRegionScheduler:
         items: Sequence[BatchItem],
         fault_plan: Optional[FaultPlan] = None,
         resilience: Optional[ResilienceParams] = None,
-        fleet: Optional[FleetParams] = None,
+        shards: Optional[int] = None,
     ) -> BatchResult:
         """Schedule all ``items`` as one batched launch (per invoked pass).
 
-        A region that faults (chaos mode) no longer aborts the batch: the
+        A region that faults (chaos mode) does not abort the batch: the
         other regions still schedule, the failed slot reports its error,
         and the batch's time accounting covers the work that ran. Pass
         ``resilience`` to give each slot the full retry ladder instead of
         a single attempt.
 
-        Pass ``fleet`` (or set ``REPRO_SHARDS`` > 1) to shard the batch
-        across supervised workers — the merged result is bit-identical to
-        this single-device path; only the fleet's own wall-model timing
-        differs, reported separately on the supervisor's FleetResult.
+        ``shards`` (default: ``REPRO_SHARDS``, else 1) splits the slots
+        round-robin into that many shards; the shards run one after
+        another and their outcomes merge back in slot order, so the
+        result is bit-identical for every shard count.
         """
         if not items:
             raise GPUSimError("empty batch")
-        fleet_params = fleet if fleet is not None else FleetParams.from_env()
-        if fleet_params.num_shards > 1:
-            from ..fleet.supervisor import FleetSupervisor
-
-            supervised = FleetSupervisor(self, fleet_params).schedule_batch(
-                items, fault_plan=fault_plan, resilience=resilience
-            )
-            return supervised.batch
+        queues = partition_shards(
+            range(len(items)), shards_from_env() if shards is None else shards
+        )
         blocks = self._partition_blocks(items)
         tele = self.telemetry
         tele.emit(
@@ -388,13 +416,17 @@ class MultiRegionScheduler:
             blocks_per_region=list(blocks),
         )
         prof = get_profiler()
-        outcomes: List[SlotOutcome] = []
+        resolved: List[Tuple[int, SlotOutcome]] = []
         with prof.span("batch", "batch"):
-            for item, b in zip(items, blocks):
-                outcomes.append(
-                    self.run_slot(item, b, fault_plan=fault_plan, resilience=resilience)
-                )
-        return self.assemble_batch(items, blocks, outcomes)
+            for queue in queues:
+                for slot in queue:
+                    outcome = self.run_slot(
+                        items[slot], blocks[slot], fault_plan=fault_plan, resilience=resilience
+                    )
+                    resolved.append((slot, outcome))
+        return self.assemble_batch(
+            items, blocks, merge_shard_results(len(items), resolved)
+        )
 
     def assemble_batch(
         self,
@@ -404,10 +436,8 @@ class MultiRegionScheduler:
     ) -> BatchResult:
         """Reduce per-slot outcomes (in slot order) into one BatchResult.
 
-        Shared by the local path and the fleet supervisor's merge — the
-        batch's derived timing is a pure function of the slot outcomes and
-        the block partition, so a fleet run reduces to the *same* numbers
-        as the single-device run. Also records the per-slot ``batch``
+        The batch's derived timing is a pure function of the slot outcomes
+        and the block partition. Also records the per-slot ``batch``
         schedule entries and publishes the ``batch_end`` telemetry.
         """
         results = [outcome.result for outcome in outcomes]

@@ -374,7 +374,7 @@ class VectorizedColony:
         self._preds_flat[at] = preds
         newly = preds == 0
         pos = self.avail_len[:, None] + np.cumsum(newly, axis=1, dtype=np.int32)
-        self.avail_len[:] = pos[:, pos.shape[1] - 1]
+        self.avail_len[:] = pos[:, -1]
         slots = (self._avail_rows + pos)[newly]
         self._avail_ids_flat[slots] = succ[newly]
         self._avail_release_flat[slots] = release[newly]

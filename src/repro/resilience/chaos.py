@@ -9,14 +9,6 @@ retry overhead (budget spent beyond the successful attempt's own cost).
 Every shipped ACO schedule is re-validated against the DDG, so a recovery
 that smuggled an illegal schedule through fails instead of passing.
 
-The module also holds the skeleton :mod:`repro.fleet.chaos` reuses (the
-layering lets ``fleet`` import ``resilience``, never the reverse): the
-report aggregates, the proof and sweep loops, the one schedule
-re-validation and the CLI body. A harness supplies a trial runner
-``trials(plan, chaos_seed)`` yielding trials that expose ``fault_counts``,
-``recovered``, ``ok`` and ``mark_invalid()``, a report type with
-``summary()`` and ``proof_failure()``, and a :class:`Harness`.
-
 Runnable as a module — CI's chaos-sweep job is exactly::
 
     python -m repro.resilience.chaos --bitcheck bitcheck
@@ -30,10 +22,8 @@ from __future__ import annotations
 import argparse
 import os
 import random
-from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, ClassVar, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..config import ACOParams, GPUParams, ResilienceParams
 from ..ddg.graph import DDG
@@ -41,7 +31,6 @@ from ..errors import ScheduleError
 from ..gpusim.faults import DEFAULT_CHAOS_RATES, FAULT_CLASSES, FaultPlan
 from ..machine.model import MachineModel
 from ..machine.targets import amd_vega20
-from ..schedule.schedule import Schedule
 from ..schedule.validate import validate_schedule
 from ..suite.patterns import random_region
 from .ladder import schedule_with_resilience
@@ -55,82 +44,6 @@ PINNED_SEEDS: Tuple[int, ...] = (11, 23, 37, 58, 71, 94)
 #: about fault paths, not search quality, and must stay CI-fast.
 DEFAULT_SIZES: Tuple[int, ...] = (10, 12, 14)
 
-#: Every trial of one fault plan, tagged with the plan's chaos seed.
-TrialRunner = Callable[[FaultPlan, int], Iterable]
-
-
-@dataclass
-class TrialReport:
-    """The aggregates both harness reports share."""
-
-    trials: List = field(default_factory=list)
-
-    #: Classes :attr:`faults_by_class` lists even when never injected.
-    listed_classes: ClassVar[Tuple[str, ...]] = ()
-
-    @property
-    def faults_by_class(self) -> Dict[str, int]:
-        counts = dict.fromkeys(self.listed_classes, 0)
-        for trial in self.trials:
-            for name, count in trial.fault_counts.items():
-                counts[name] = counts.get(name, 0) + count
-        return counts
-
-    @property
-    def faulted_trials(self) -> List:
-        return [t for t in self.trials if any(t.fault_counts.values())]
-
-    @property
-    def recovery_rate(self) -> float:
-        """Fraction of faulted trials that recovered."""
-        faulted = self.faulted_trials
-        if not faulted:
-            return 1.0
-        return sum(1 for t in faulted if t.recovered) / len(faulted)
-
-    @property
-    def all_ok(self) -> bool:
-        return all(t.ok for t in self.trials)
-
-    def _faults_text(self) -> str:
-        return ", ".join(
-            "%s=%d" % (name, count)
-            for name, count in sorted(self.faults_by_class.items())
-        ) or "none"
-
-
-def schedule_valid(schedule: Schedule, ddg: DDG, machine: MachineModel) -> bool:
-    """Whether a shipped schedule passes independent re-validation.
-
-    Only :class:`ScheduleError` marks it invalid: any other exception is a
-    bug in the harness or the validator and propagates.
-    """
-    try:
-        validate_schedule(schedule, ddg, machine)
-    except ScheduleError:
-        return False
-    return True
-
-
-def proof_trials(fault_classes: Sequence[str], trials: TrialRunner) -> List:
-    """Each class forced at rate 1.0; a class that never fires fails."""
-    out = []
-    for fault_class in fault_classes:
-        for trial in trials(FaultPlan(seed=1, rates={fault_class: 1.0}), 1):
-            if not trial.fault_counts.get(fault_class):
-                trial.mark_invalid()  # rate-1.0 must inject
-            out.append(trial)
-    return out
-
-
-def sweep_trials(seeds: Sequence[int], rates: Dict, trials: TrialRunner) -> List:
-    """Every trial under every chaos seed at the mixed ``rates``."""
-    return [
-        trial
-        for seed in seeds
-        for trial in trials(FaultPlan(seed=seed, rates=dict(rates)), seed)
-    ]
-
 
 def int_list(text: str) -> Tuple[int, ...]:
     """argparse type: a non-empty comma-separated list of integers."""
@@ -143,106 +56,6 @@ def int_list(text: str) -> Tuple[int, ...]:
             "expected a comma-separated list of integers, got %r" % text
         )
     return values
-
-
-@dataclass(frozen=True)
-class Harness:
-    """What one harness supplies to :func:`run_cli`."""
-
-    prog: str
-    description: str
-    tag: str  # every stdout line reads "[tag] ..."
-    default_sizes: Tuple[int, ...]
-    fault_classes: Tuple[str, ...]  # each must fire in the proofs
-    proofs: Callable[[argparse.Namespace], TrialReport]
-    sweep: Callable[[argparse.Namespace], TrialReport]
-    #: ``--bitcheck``: the run recorded twice, its bundle name, and what
-    #: the verdict line calls the recordings.
-    record: Callable[[argparse.Namespace], Callable[[], object]]
-    bundle: str
-    recorded: str
-    add_arguments: Callable[[argparse.ArgumentParser], None] = lambda parser: None
-    #: Called before the verdict as ``(args, proofs or None, sweep,
-    #: bitcheck verdict or None, failed)``.
-    finish: Callable[..., None] = lambda *results: None
-
-
-def run_cli(harness: Harness, argv: Optional[Sequence[str]] = None) -> int:
-    """Parse, prove, sweep, optionally bitcheck; return the exit status."""
-    parser = argparse.ArgumentParser(prog=harness.prog, description=harness.description)
-    parser.add_argument(
-        "--seeds",
-        type=int_list,
-        default=PINNED_SEEDS,
-        help="comma-separated chaos seeds for the mixed-rate sweep",
-    )
-    parser.add_argument(
-        "--sizes",
-        type=int_list,
-        default=harness.default_sizes,
-        help="comma-separated region sizes for the harness",
-    )
-    parser.add_argument(
-        "--skip-proofs",
-        action="store_true",
-        help="run only the mixed-rate sweep (skip the rate-1.0 proofs)",
-    )
-    harness.add_arguments(parser)
-    parser.add_argument(
-        "--bitcheck",
-        metavar="DIR",
-        help="additionally record a chaos run twice into DIR and diff the "
-        "run bundles; a mismatch writes DIR/first-divergence.json and "
-        "fails the harness",
-    )
-    args = parser.parse_args(argv)
-
-    def say(line: str) -> None:
-        print("[%s] %s" % (harness.tag, line))
-
-    failed = False
-    proofs = None
-    if not args.skip_proofs:
-        proofs = harness.proofs(args)
-        say("per-class proofs: %s" % proofs.summary())
-        classes = proofs.faults_by_class
-        for fault_class in harness.fault_classes:
-            if not classes.get(fault_class):
-                say("FAIL: class %r never injected" % fault_class)
-                failed = True
-        failure = proofs.proof_failure()
-        if failure is not None:
-            say("FAIL: %s" % failure)
-        failed = failed or failure is not None or not proofs.all_ok
-
-    sweep = harness.sweep(args)
-    say("mixed-rate sweep: %s" % sweep.summary())
-    failed = failed or not sweep.all_ok
-
-    identical = None
-    if args.bitcheck:
-        # Recovery paths (retries, resumes, downgrades, reassignments,
-        # host fallback) must themselves be deterministic per seed: two
-        # recordings of the same chaotic run have to be byte-identical. On
-        # a mismatch the differ's report names the first event, iteration
-        # or draw where they forked; bundles and first-divergence.json
-        # stay in DIR for CI artifacts.
-        from ..obs.diff import record_twice_and_diff, render_report
-
-        os.makedirs(args.bitcheck, exist_ok=True)
-        identical, report = record_twice_and_diff(
-            harness.record(args), args.bitcheck, harness.bundle
-        )
-        if identical:
-            say("bitcheck: recorded %s byte-identical" % harness.recorded)
-        else:
-            say("FAIL: recorded %s diverged" % harness.recorded)
-            print(render_report(report), end="")
-            failed = True
-
-    harness.finish(args, proofs, sweep, identical, failed)
-    say("FAILED" if failed else "OK")
-    return 1 if failed else 0
 
 
 @dataclass
@@ -260,21 +73,32 @@ class RegionTrial:
     spent_seconds: float
     result_seconds: float  # 0.0 when degraded
 
-    @property
-    def fault_counts(self) -> Dict[str, int]:
-        return Counter(fault_class for fault_class, _rung, _attempt in self.faults)
-
-    @property
-    def ok(self) -> bool:
-        return self.schedule_valid
-
-    def mark_invalid(self) -> None:
-        self.schedule_valid = False
-
 
 @dataclass
-class ChaosReport(TrialReport):
+class ChaosReport:
     """Aggregate of a sweep (and/or the per-class proofs)."""
+
+    trials: List[RegionTrial] = field(default_factory=list)
+
+    @property
+    def faults_by_class(self) -> Dict[str, int]:
+        counts: Dict[str, int] = {}
+        for trial in self.trials:
+            for fault_class, _rung, _attempt in trial.faults:
+                counts[fault_class] = counts.get(fault_class, 0) + 1
+        return counts
+
+    @property
+    def faulted_trials(self) -> List[RegionTrial]:
+        return [t for t in self.trials if t.faults]
+
+    @property
+    def recovery_rate(self) -> float:
+        """Fraction of faulted regions that still shipped an ACO result."""
+        faulted = self.faulted_trials
+        if not faulted:
+            return 1.0
+        return sum(1 for t in faulted if t.recovered) / len(faulted)
 
     @property
     def degraded(self) -> int:
@@ -289,20 +113,19 @@ class ChaosReport(TrialReport):
 
     @property
     def all_valid(self) -> bool:
-        return self.all_ok
-
-    def proof_failure(self) -> Optional[str]:
-        if self.recovery_rate < 1.0:
-            return "a forced-fault region lost its ACO result"
-        return None
+        return all(t.schedule_valid for t in self.trials)
 
     def summary(self) -> str:
+        per_class = ", ".join(
+            "%s=%d" % (name, count)
+            for name, count in sorted(self.faults_by_class.items())
+        ) or "none"
         return (
             "%d trial(s), faults [%s], recovery rate %.0f%%, "
             "%d degraded, retry overhead %.3gs, schedules %s"
             % (
                 len(self.trials),
-                self._faults_text(),
+                per_class,
                 100.0 * self.recovery_rate,
                 self.degraded,
                 self.retry_overhead_seconds,
@@ -335,20 +158,33 @@ def _scheduler(machine: MachineModel):
     )
 
 
-def _region_trials(
-    machine: MachineModel, sizes: Sequence[int], max_retries: int
-) -> TrialRunner:
-    regions = chaos_regions(machine, sizes)
-    resilience = ResilienceParams(enabled=True, max_retries=max_retries)
+def _run_trials(
+    machine: MachineModel,
+    regions: Sequence[DDG],
+    plan: FaultPlan,
+    resilience: ResilienceParams,
+    chaos_seed: int,
+) -> List[RegionTrial]:
+    """Every region through the ladder under ``plan``.
 
-    def trials(plan: FaultPlan, chaos_seed: int) -> Iterable[RegionTrial]:
-        for ddg in regions:
-            with resilience_log_session(ResilienceLog()):
-                outcome = schedule_with_resilience(
-                    _scheduler(machine), ddg, 0, resilience, fault_plan=plan
-                )
-            result = outcome.result
-            yield RegionTrial(
+    A shipped schedule is invalid only on :class:`ScheduleError`; any
+    other exception from the validator is a bug and propagates.
+    """
+    trials = []
+    for ddg in regions:
+        with resilience_log_session(ResilienceLog()):
+            outcome = schedule_with_resilience(
+                _scheduler(machine), ddg, 0, resilience, fault_plan=plan
+            )
+        result = outcome.result
+        valid = True
+        if result is not None:
+            try:
+                validate_schedule(result.schedule, ddg, machine)
+            except ScheduleError:
+                valid = False
+        trials.append(
+            RegionTrial(
                 region=ddg.region.name,
                 chaos_seed=chaos_seed,
                 outcome_rung=outcome.rung,
@@ -356,12 +192,11 @@ def _region_trials(
                 resumed_attempts=outcome.resumed_attempts,
                 faults=outcome.faults,
                 recovered=result is not None,
-                schedule_valid=result is None
-                or schedule_valid(result.schedule, ddg, machine),
+                schedule_valid=valid,
                 spent_seconds=outcome.spent_seconds,
                 result_seconds=result.seconds if result is not None else 0.0,
             )
-
+        )
     return trials
 
 
@@ -378,8 +213,17 @@ def fault_class_proofs(
     downgrade to the CPU rung. A class whose faults escaped detection, or
     whose recovery shipped an invalid schedule, fails the proof.
     """
-    trials = _region_trials(machine or amd_vega20(), sizes, max_retries)
-    return ChaosReport(proof_trials(FAULT_CLASSES, trials))
+    machine = machine or amd_vega20()
+    regions = chaos_regions(machine, sizes)
+    resilience = ResilienceParams(enabled=True, max_retries=max_retries)
+    report = ChaosReport()
+    for fault_class in FAULT_CLASSES:
+        plan = FaultPlan(seed=1, rates={fault_class: 1.0})
+        for trial in _run_trials(machine, regions, plan, resilience, 1):
+            if not trial.faults:
+                trial.schedule_valid = False  # rate-1.0 must inject
+            report.trials.append(trial)
+    return report
 
 
 def chaos_sweep(
@@ -390,26 +234,89 @@ def chaos_sweep(
     max_retries: int = 2,
 ) -> ChaosReport:
     """Run every region under every chaos seed at mixed fault rates."""
-    trials = _region_trials(machine or amd_vega20(), sizes, max_retries)
-    return ChaosReport(sweep_trials(seeds, rates or DEFAULT_CHAOS_RATES, trials))
-
-
-HARNESS = Harness(
-    prog="python -m repro.resilience.chaos",
-    description="Chaos harness: per-class fault proofs + seed sweep.",
-    tag="chaos",
-    default_sizes=DEFAULT_SIZES,
-    fault_classes=FAULT_CLASSES,
-    proofs=lambda args: fault_class_proofs(sizes=args.sizes),
-    sweep=lambda args: chaos_sweep(seeds=args.seeds, sizes=args.sizes),
-    record=lambda args: partial(chaos_sweep, seeds=args.seeds, sizes=args.sizes),
-    bundle="chaos",
-    recorded="sweeps",
-)
+    machine = machine or amd_vega20()
+    regions = chaos_regions(machine, sizes)
+    resilience = ResilienceParams(enabled=True, max_retries=max_retries)
+    report = ChaosReport()
+    for seed in seeds:
+        plan = FaultPlan(seed=seed, rates=dict(rates or DEFAULT_CHAOS_RATES))
+        report.trials.extend(_run_trials(machine, regions, plan, resilience, seed))
+    return report
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    return run_cli(HARNESS, argv)
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.resilience.chaos",
+        description="Chaos harness: per-class fault proofs + seed sweep.",
+    )
+    parser.add_argument(
+        "--seeds",
+        type=int_list,
+        default=PINNED_SEEDS,
+        help="comma-separated chaos seeds for the mixed-rate sweep",
+    )
+    parser.add_argument(
+        "--sizes",
+        type=int_list,
+        default=DEFAULT_SIZES,
+        help="comma-separated region sizes for the harness",
+    )
+    parser.add_argument(
+        "--skip-proofs",
+        action="store_true",
+        help="run only the mixed-rate sweep (skip the rate-1.0 proofs)",
+    )
+    parser.add_argument(
+        "--bitcheck",
+        metavar="DIR",
+        help="additionally record the sweep twice into DIR and diff the "
+        "run bundles; a mismatch writes DIR/first-divergence.json and "
+        "fails the harness",
+    )
+    args = parser.parse_args(argv)
+
+    failed = False
+    if not args.skip_proofs:
+        proofs = fault_class_proofs(sizes=args.sizes)
+        print("[chaos] per-class proofs: %s" % proofs.summary())
+        classes = proofs.faults_by_class
+        for fault_class in FAULT_CLASSES:
+            if not classes.get(fault_class):
+                print("[chaos] FAIL: class %r never injected" % fault_class)
+                failed = True
+        if proofs.recovery_rate < 1.0:
+            print("[chaos] FAIL: a forced-fault region lost its ACO result")
+            failed = True
+        failed = failed or not proofs.all_valid
+
+    sweep = chaos_sweep(seeds=args.seeds, sizes=args.sizes)
+    print("[chaos] mixed-rate sweep: %s" % sweep.summary())
+    failed = failed or not sweep.all_valid
+
+    if args.bitcheck:
+        # Recovery paths (retries, checkpoint resumes, engine downgrades)
+        # must themselves be deterministic per seed: two recordings of the
+        # same sweep have to be byte-identical. On a mismatch the differ's
+        # report names the first event, iteration or draw where they
+        # forked; bundles and first-divergence.json stay in DIR for CI
+        # artifacts.
+        from ..obs.diff import record_twice_and_diff, render_report
+
+        os.makedirs(args.bitcheck, exist_ok=True)
+        identical, report = record_twice_and_diff(
+            lambda: chaos_sweep(seeds=args.seeds, sizes=args.sizes),
+            args.bitcheck,
+            "chaos",
+        )
+        if identical:
+            print("[chaos] bitcheck: recorded sweeps byte-identical")
+        else:
+            print("[chaos] FAIL: recorded sweeps diverged")
+            print(render_report(report), end="")
+            failed = True
+
+    print("[chaos] %s" % ("FAILED" if failed else "OK"))
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ import math
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
-from ..obs.context import current_trace, current_worker
+from ..obs.context import current_trace
 from .metrics import ITERATION_BUCKETS, MetricsRegistry
 from .schema import SCHEMA_VERSION, validate_event
 from .sinks import NullSink, Sink
@@ -73,9 +73,6 @@ class Telemetry:
             record.setdefault("span_id", context.span_id)
             if context.parent_id is not None:
                 record.setdefault("parent_id", context.parent_id)
-        worker = current_worker()
-        if worker is not None:
-            record.setdefault("worker", worker)
         validate_event(record)
         self._seq += 1
         self.sink.write(record)

@@ -39,19 +39,7 @@ Event types (schema v1):
 ``retry``                 one retry attempt starting (seed, resumed or fresh)
 ``degrade``               one degradation-ladder step (from rung -> to rung)
 ``deadline``              one soft-deadline stop (budget spent, partial result)
-``fleet_start/_end``      one sharded batch under the fleet supervisor
-``shard_dispatch``        one region handed to one shard worker
-``worker_fault``          one worker-level fault (crash/hang/corrupt result)
-``worker_restart``        one dead worker brought back after backoff
-``reassign``              one region re-dispatched after a worker fault
-``straggler``             one worker flagged slow relative to the fleet
 ========================  ====================================================
-
-Records emitted while a :func:`repro.obs.context.worker_scope` is
-installed additionally carry a ``worker`` field (the shard worker id), so
-a fleet run's kernel launches, iterations and faults attribute to the
-worker that produced them — same forward-compatibility rule as the trace
-context extras.
 
 The resilience events (``fault``/``retry``/``degrade``/``deadline``) are
 additive in schema v1: old consumers never see them unless the resilience
@@ -130,19 +118,6 @@ EVENT_TYPES: Dict[str, Tuple[str, ...]] = {
     "retry": ("region", "attempt", "seed", "resumed"),
     "degrade": ("region", "from_rung", "to_rung", "attempt"),
     "deadline": ("region", "pass_index", "deadline_seconds", "spent_seconds"),
-    "fleet_start": ("num_shards", "num_regions"),
-    "fleet_end": (
-        "num_shards",
-        "num_regions",
-        "seconds",
-        "recovered_regions",
-        "reassignments",
-    ),
-    "shard_dispatch": ("worker", "region", "dispatch", "blocks"),
-    "worker_fault": ("worker", "fault_class", "dispatch", "seconds"),
-    "worker_restart": ("worker", "restarts", "backoff_seconds"),
-    "reassign": ("region", "from_worker", "epoch"),
-    "straggler": ("worker", "epoch", "busy_seconds", "median_seconds"),
 }
 
 

@@ -73,6 +73,23 @@ class TestCheckedArray:
         with pytest.raises(SanitizerError, match="state"):
             arr[0][-1]
 
+    def test_ufunc_and_accumulate_results_are_plain(self):
+        """Arithmetic on checked state makes a new value, not state: a
+        negative index into it is ordinary numpy."""
+        pos = checked(np.arange(12).reshape(3, 4), "pos")
+        assert ((pos + 1)[:, -1] == [4, 8, 12]).all()
+        assert (np.cumsum(pos, axis=1)[:, -1] == [6, 22, 38]).all()
+        assert type(pos * 2) is np.ndarray
+        assert type(pos.sum(axis=1)) is np.ndarray
+
+    def test_views_gathers_and_in_place_updates_stay_checked(self):
+        pos = checked(np.arange(12).reshape(3, 4), "pos")
+        pos += 1
+        for derived in (pos, pos[1:], pos[np.array([0, 2])], pos.T):
+            assert isinstance(derived, CheckedArray)
+            with pytest.raises(SanitizerError, match="pos"):
+                derived[0, -1]
+
 
 class TestEnvGating:
     def test_defaults_off(self, monkeypatch):

@@ -1,14 +1,12 @@
-"""Both chaos CLIs reject empty and non-integer list arguments.
+"""The chaos CLI rejects empty and non-integer list arguments.
 
-An empty ``--seeds`` used to run zero trials and report ``OK``; an empty
-``--shards`` or a non-integer ``--sizes`` escaped as a traceback. Every
-case must now be an argparse usage error (exit status 2) before any
-trial runs.
+An empty ``--seeds`` used to run zero trials and report ``OK``; a
+non-integer ``--sizes`` escaped as a traceback. Every case must now be an
+argparse usage error (exit status 2) before any trial runs.
 """
 
 import pytest
 
-import repro.fleet.chaos as fleet_chaos
 import repro.resilience.chaos as resilience_chaos
 
 BAD_LISTS = [
@@ -18,10 +16,6 @@ BAD_LISTS = [
     ["--sizes", "", "--skip-proofs"],
     ["--sizes", "x"],
     ["--seeds", "", "--skip-proofs", "--bitcheck", "D"],
-]
-FLEET_ONLY = [
-    ["--shards", ""],
-    ["--shards", "2,x", "--skip-proofs"],
 ]
 
 
@@ -36,11 +30,6 @@ def _rejected(main, argv, capsys):
 @pytest.mark.parametrize("argv", BAD_LISTS, ids=" ".join)
 def test_resilience_rejects_bad_list(argv, capsys):
     _rejected(resilience_chaos.main, argv, capsys)
-
-
-@pytest.mark.parametrize("argv", BAD_LISTS + FLEET_ONLY, ids=" ".join)
-def test_fleet_rejects_bad_list(argv, capsys):
-    _rejected(fleet_chaos.main, argv, capsys)
 
 
 def test_trailing_comma_still_accepted(capsys):

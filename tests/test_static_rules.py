@@ -128,7 +128,7 @@ class TestDET005UnorderedMerge:
         assert hits == [("DET-005", "viz/bad.py")]
 
     def test_positive_outside_kernel_paths_too(self, tmp_path):
-        # Unlike DET-002, merges are policed everywhere (the fleet merge
+        # Unlike DET-002, merges are policed everywhere (the shard merge
         # contract does not care which package the reduce lives in).
         hits = _scan(
             tmp_path,
